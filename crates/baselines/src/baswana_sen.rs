@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use spanner_graph::{CsrAdjacency, EdgeId, EdgeSet, Graph, NodeId};
 use spanner_netsim::{
-    AsyncNetwork, Ctx, FaultPlan, MessageBudget, Network, NullSink, Protocol, RunError,
-    Synchronizer, TraceSink,
+    Ctx, Executor, ExecutorNetwork, FaultPlan, MessageBudget, NullSink, Protocol, RunError,
+    TraceSink,
 };
 use ultrasparse::expand::ClusterSampler;
 use ultrasparse::{FaultError, Spanner};
@@ -294,14 +294,37 @@ impl Protocol for BsNode {
     }
 }
 
-/// Runs the distributed Baswana–Sen protocol on the simulator; returns the
-/// spanner with its communication metrics.
+/// Runs the distributed Baswana–Sen protocol on `executor`, straight off a
+/// shared CSR adjacency, streaming round-level trace events into `sink`:
+/// one `cluster[i]` span per phase-1 iteration and a final `connect` span
+/// for phase 2. Returns the spanner with its communication metrics; every
+/// executor builds the same spanner with the same protocol-level metrics.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors (round cap, budget violations) — neither
 /// occurs for valid parameters: the protocol runs exactly k rounds with
 /// 2-word messages.
+///
+/// # Panics
+///
+/// Panics if `executor` is [`Executor::Parallel`] with zero threads.
+pub fn build_distributed_on(
+    csr: &Arc<CsrAdjacency>,
+    params: &BaswanaSenParams,
+    seed: u64,
+    executor: &Executor,
+    sink: &mut dyn TraceSink,
+) -> Result<Spanner, RunError> {
+    let mut net = executor.network(Arc::clone(csr), MessageBudget::Words(2), seed);
+    run(&mut net, params, seed, sink)
+}
+
+/// [`build_distributed_on`] for a [`Graph`] on the sequential executor, untraced.
+///
+/// # Errors
+///
+/// Propagates simulator errors, as [`build_distributed_on`] does.
 pub fn build_distributed(
     g: &Graph,
     params: &BaswanaSenParams,
@@ -310,141 +333,32 @@ pub fn build_distributed(
     build_distributed_traced(g, params, seed, &mut NullSink)
 }
 
-/// Like [`build_distributed`], streaming round-level trace events into
-/// `sink`: one `cluster[i]` span per phase-1 iteration and a final
-/// `connect` span for phase 2.
+/// [`build_distributed_on`] for a [`Graph`] on the sequential executor.
 ///
 /// # Errors
 ///
-/// Propagates simulator errors, as [`build_distributed`] does.
+/// Propagates simulator errors, as [`build_distributed_on`] does.
 pub fn build_distributed_traced(
     g: &Graph,
     params: &BaswanaSenParams,
     seed: u64,
     sink: &mut dyn TraceSink,
 ) -> Result<Spanner, RunError> {
-    let mut net = Network::new(g, MessageBudget::Words(2), seed);
-    let n = g.node_count();
-    let p = params.probability(n);
-    let states = net.run_traced(
-        |v, _| BsNode {
-            params: *params,
-            sampler: ClusterSampler::new(seed),
-            p,
-            cluster: Some(v),
-            chosen: Vec::new(),
-            iter: 0,
-            finished: false,
-        },
-        params.k + 4,
-        sink,
-    )?;
-    let mut edges = EdgeSet::new(g);
-    for (v, st) in states.iter().enumerate() {
-        for &w in &st.chosen {
-            let e = g
-                .find_edge(NodeId(v as u32), w)
-                .expect("chosen edge exists");
-            edges.insert(e);
-        }
-    }
-    Ok(Spanner {
-        edges,
-        metrics: Some(net.metrics()),
-    })
+    let csr = Arc::new(CsrAdjacency::from_graph(g));
+    build_distributed_on(&csr, params, seed, &Executor::Sequential, sink)
 }
 
-/// [`build_distributed`] straight from a shared CSR adjacency, with no
-/// [`Graph`] materialization: the node protocol only reads topology through
-/// the executor, and the spanner is collected through the CSR edge index.
-/// Byte-identical spanner and metrics to the `Graph` driver (asserted in
-/// tests); the memory-lean entry point for `--scale huge` tiers.
+/// [`build_distributed_on`] on the sequential executor, untraced.
 ///
 /// # Errors
 ///
-/// Propagates simulator errors, as [`build_distributed`] does.
+/// Propagates simulator errors, as [`build_distributed_on`] does.
 pub fn build_distributed_csr(
     csr: &Arc<CsrAdjacency>,
     params: &BaswanaSenParams,
     seed: u64,
 ) -> Result<Spanner, RunError> {
-    let mut net = Network::from_csr(Arc::clone(csr), MessageBudget::Words(2), seed);
-    let n = csr.node_count();
-    let p = params.probability(n);
-    let states = net.run(
-        |v, _| BsNode {
-            params: *params,
-            sampler: ClusterSampler::new(seed),
-            p,
-            cluster: Some(v),
-            chosen: Vec::new(),
-            iter: 0,
-            finished: false,
-        },
-        params.k + 4,
-    )?;
-    let index = csr.edge_index();
-    let mut edges = EdgeSet::with_universe(index.edge_count());
-    for (v, st) in states.iter().enumerate() {
-        for &w in &st.chosen {
-            let e = index
-                .edge_id(csr, NodeId(v as u32), w)
-                .expect("chosen edge exists");
-            edges.insert(e);
-        }
-    }
-    Ok(Spanner {
-        edges,
-        metrics: Some(net.metrics()),
-    })
-}
-
-/// Like [`build_distributed`], executed on the event-driven asynchronous
-/// simulator with per-link latencies from `delays` and round semantics
-/// recovered by `synchronizer` (see [`spanner_netsim::AsyncNetwork`]).
-/// Builds the exact spanner of [`build_distributed`] for every delay plan,
-/// with async cost counters added to the metrics.
-///
-/// # Errors
-///
-/// Propagates simulator errors, as [`build_distributed`] does.
-pub fn build_distributed_async(
-    g: &Graph,
-    params: &BaswanaSenParams,
-    seed: u64,
-    delays: &FaultPlan,
-    synchronizer: Synchronizer,
-) -> Result<Spanner, RunError> {
-    let mut net = AsyncNetwork::new(g, MessageBudget::Words(2), seed)
-        .with_delays(delays.clone())
-        .with_synchronizer(synchronizer);
-    let n = g.node_count();
-    let p = params.probability(n);
-    let states = net.run(
-        |v, _| BsNode {
-            params: *params,
-            sampler: ClusterSampler::new(seed),
-            p,
-            cluster: Some(v),
-            chosen: Vec::new(),
-            iter: 0,
-            finished: false,
-        },
-        params.k + 4,
-    )?;
-    let mut edges = EdgeSet::new(g);
-    for (v, st) in states.iter().enumerate() {
-        for &w in &st.chosen {
-            let e = g
-                .find_edge(NodeId(v as u32), w)
-                .expect("chosen edge exists");
-            edges.insert(e);
-        }
-    }
-    Ok(Spanner {
-        edges,
-        metrics: Some(net.metrics()),
-    })
+    build_distributed_on(csr, params, seed, &Executor::Sequential, &mut NullSink)
 }
 
 /// Runs the distributed Baswana–Sen protocol under a fault schedule.
@@ -466,43 +380,14 @@ pub fn build_distributed_faulted(
     seed: u64,
     plan: &FaultPlan,
 ) -> Result<Spanner, FaultError> {
-    let net = std::cell::RefCell::new(
-        Network::new(g, MessageBudget::Words(2), seed).with_faults(plan.clone()),
-    );
-    let n = g.node_count();
-    let p = params.probability(n);
+    let csr = Arc::new(CsrAdjacency::from_graph(g));
+    let net = Executor::Sequential
+        .network(csr, MessageBudget::Words(2), seed)
+        .with_faults(plan.clone());
     ultrasparse::faults::build_certified(
         g,
-        || {
-            let mut net = net.borrow_mut();
-            let states = net.run(
-                |v, _| BsNode {
-                    params: *params,
-                    sampler: ClusterSampler::new(seed),
-                    p,
-                    cluster: Some(v),
-                    chosen: Vec::new(),
-                    iter: 0,
-                    finished: false,
-                },
-                params.k + 4,
-            )?;
-            let mut edges = EdgeSet::new(g);
-            for (v, st) in states.iter().enumerate() {
-                for &w in &st.chosen {
-                    let e = g
-                        .find_edge(NodeId(v as u32), w)
-                        .expect("chosen edge exists");
-                    edges.insert(e);
-                }
-            }
-            let metrics = net.metrics();
-            Ok(Spanner {
-                edges,
-                metrics: Some(metrics),
-            })
-        },
-        || net.borrow().metrics(),
+        net,
+        |net| run(net, params, seed, &mut NullSink),
         |s| {
             spanner_graph::verify_stretch_exact(
                 g,
@@ -512,6 +397,39 @@ pub fn build_distributed_faulted(
             .map_err(|v| v.to_string())
         },
     )
+}
+
+/// The construction: k clustering rounds on `net`, then the spanner
+/// collected from every node's chosen edges.
+fn run(
+    net: &mut ExecutorNetwork,
+    params: &BaswanaSenParams,
+    seed: u64,
+    sink: &mut dyn TraceSink,
+) -> Result<Spanner, RunError> {
+    let p = params.probability(net.adjacency().node_count());
+    let states = net.run_traced(
+        |v, _| BsNode {
+            params: *params,
+            sampler: ClusterSampler::new(seed),
+            p,
+            cluster: Some(v),
+            chosen: Vec::new(),
+            iter: 0,
+            finished: false,
+        },
+        params.k + 4,
+        sink,
+    )?;
+    let pairs = states
+        .iter()
+        .enumerate()
+        .flat_map(|(v, st)| st.chosen.iter().map(move |&w| (NodeId(v as u32), w)));
+    Ok(Spanner::from_selections(
+        net.adjacency(),
+        pairs,
+        net.metrics(),
+    ))
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use spanner_graph::{CsrAdjacency, EdgeSet, Graph, NodeId};
 use spanner_netsim::patterns::SourceInfo;
-use spanner_netsim::{Ctx, MessageBudget, Network, NullSink, Protocol, RunError, TraceSink};
+use spanner_netsim::{Ctx, Executor, MessageBudget, NullSink, Protocol, RunError, TraceSink};
 use ultrasparse::Spanner;
 
 /// BFS spanning forest rooted at the minimum-id vertex of each component.
@@ -85,31 +85,28 @@ impl Protocol for MinRootBfs {
     }
 }
 
-/// Distributed BFS forest: the minimum-id vertex of each component is
-/// elected root by flooding and each non-root vertex keeps one edge toward
-/// its minimum-id parent on a shortest path to the root.
+/// Distributed BFS forest on `executor`, straight off a shared CSR
+/// adjacency: the minimum-id vertex of each component is elected root by
+/// flooding and each non-root vertex keeps one edge toward its minimum-id
+/// parent on a shortest path to the root. Trace events stream into `sink`;
+/// the whole flood is one `elect` phase span.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors; with `max_rounds ≥ O(diameter)` none
 /// occur.
-pub fn build_distributed(g: &Graph, seed: u64, max_rounds: u32) -> Result<Spanner, RunError> {
-    build_distributed_traced(g, seed, max_rounds, &mut NullSink)
-}
-
-/// Like [`build_distributed`], streaming round-level trace events into
-/// `sink`; the whole flood is one `elect` phase span.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Propagates simulator errors, as [`build_distributed`] does.
-pub fn build_distributed_traced(
-    g: &Graph,
+/// Panics if `executor` is [`Executor::Parallel`] with zero threads.
+pub fn build_distributed_on(
+    csr: &Arc<CsrAdjacency>,
     seed: u64,
     max_rounds: u32,
+    executor: &Executor,
     sink: &mut dyn TraceSink,
 ) -> Result<Spanner, RunError> {
-    let mut net = Network::new(g, MessageBudget::Words(2), seed);
+    let mut net = executor.network(Arc::clone(csr), MessageBudget::Words(2), seed);
     let states = net.run_traced(
         |v, _| MinRootBfs {
             best: SourceInfo { dist: 0, source: v },
@@ -118,53 +115,7 @@ pub fn build_distributed_traced(
         max_rounds,
         sink,
     )?;
-    let mut edges = EdgeSet::new(g);
-    for v in g.nodes() {
-        let info = states[v.index()].best;
-        if info.dist == 0 {
-            continue; // component root
-        }
-        // Parent: min-id neighbor one hop closer to the same root.
-        let parent = g
-            .neighbor_ids(v)
-            .filter(|w| {
-                let b = states[w.index()].best;
-                b.source == info.source && b.dist + 1 == info.dist
-            })
-            .min()
-            .expect("BFS parent exists");
-        edges.insert(g.find_edge(v, parent).expect("edge"));
-    }
-    Ok(Spanner {
-        edges,
-        metrics: Some(net.metrics()),
-    })
-}
-
-/// [`build_distributed`] straight from a shared CSR adjacency, with no
-/// [`Graph`] materialization. The parent choice (min-id neighbor one hop
-/// closer to the root) scans the sorted CSR neighbor run, so it matches
-/// the `Graph` driver exactly; byte-identical spanner and metrics
-/// (asserted in tests).
-///
-/// # Errors
-///
-/// Propagates simulator errors, as [`build_distributed`] does.
-pub fn build_distributed_csr(
-    csr: &Arc<CsrAdjacency>,
-    seed: u64,
-    max_rounds: u32,
-) -> Result<Spanner, RunError> {
-    let mut net = Network::from_csr(Arc::clone(csr), MessageBudget::Words(2), seed);
-    let states = net.run(
-        |v, _| MinRootBfs {
-            best: SourceInfo { dist: 0, source: v },
-            sent: None,
-        },
-        max_rounds,
-    )?;
-    let index = csr.edge_index();
-    let mut edges = EdgeSet::with_universe(index.edge_count());
+    let mut pairs = Vec::new();
     for v in 0..csr.node_count() {
         let v = NodeId(v as u32);
         let info = states[v.index()].best;
@@ -182,12 +133,19 @@ pub fn build_distributed_csr(
             })
             .min()
             .expect("BFS parent exists");
-        edges.insert(index.edge_id(csr, v, parent).expect("edge"));
+        pairs.push((v, parent));
     }
-    Ok(Spanner {
-        edges,
-        metrics: Some(net.metrics()),
-    })
+    Ok(Spanner::from_selections(csr, pairs, net.metrics()))
+}
+
+/// [`build_distributed_on`] for a [`Graph`] on the sequential executor, untraced.
+///
+/// # Errors
+///
+/// Propagates simulator errors, as [`build_distributed_on`] does.
+pub fn build_distributed(g: &Graph, seed: u64, max_rounds: u32) -> Result<Spanner, RunError> {
+    let csr = Arc::new(CsrAdjacency::from_graph(g));
+    build_distributed_on(&csr, seed, max_rounds, &Executor::Sequential, &mut NullSink)
 }
 
 #[cfg(test)]
@@ -200,7 +158,8 @@ mod tests {
         let g = generators::connected_gnm(250, 1_000, 9);
         let graph_built = build_distributed(&g, 4, 64).unwrap();
         let csr = Arc::new(CsrAdjacency::from_graph(&g));
-        let csr_built = build_distributed_csr(&csr, 4, 64).unwrap();
+        let csr_built =
+            build_distributed_on(&csr, 4, 64, &Executor::Sequential, &mut NullSink).unwrap();
         assert_eq!(graph_built.edges, csr_built.edges);
         assert_eq!(graph_built.metrics, csr_built.metrics);
     }

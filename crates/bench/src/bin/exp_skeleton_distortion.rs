@@ -7,7 +7,10 @@
 //! simulator round count, the planned timetable, and the max message
 //! length.
 
+use std::sync::Arc;
+
 use spanner_bench::{f2, scaled, threads_arg, timed, workload, Table, TraceOutput};
+use spanner_graph::CsrAdjacency;
 use ultrasparse::seq::log_star;
 use ultrasparse::skeleton::{distributed, SkeletonParams};
 
@@ -39,7 +42,9 @@ fn main() {
         let g = workload(n, 6.0, 3);
         let mut tr = traces.open(&format!("n{n}"));
         let ((spanner, rounds, words), secs) = timed(|| {
-            let s = distributed::build_distributed_traced(&g, &params, 9, tr.sink()).expect("run");
+            let csr = Arc::new(CsrAdjacency::from_graph(&g));
+            let s = distributed::build_distributed_csr_traced(&csr, &params, 9, tr.sink())
+                .expect("run");
             let m = s.metrics.expect("distributed metrics");
             (s, m.rounds, m.max_message_words)
         });

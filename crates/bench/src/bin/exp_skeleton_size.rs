@@ -5,10 +5,14 @@
 //! and prints measured |S|/n next to the analytic prediction, for both the
 //! sequential reference and the distributed protocol.
 
+use std::sync::Arc;
+
 use spanner_bench::{
     f2, fault_plan_arg, huge_mode, peak_rss_bytes, scale3, threads_arg, timed, workload,
     workload_csr, Table, TraceOutput,
 };
+use spanner_graph::CsrAdjacency;
+use spanner_netsim::{Executor, NullSink};
 use ultrasparse::skeleton::{build_sequential, distributed, SkeletonParams};
 
 fn main() {
@@ -60,7 +64,8 @@ fn main() {
             }
         } else {
             let mut tr = traces.open(&format!("d{:02}", d as u32));
-            let dist = distributed::build_distributed_traced(&g, &params, 11, tr.sink())
+            let csr = Arc::new(CsrAdjacency::from_graph(&g));
+            let dist = distributed::build_distributed_csr_traced(&csr, &params, 11, tr.sink())
                 .expect("distributed run");
             tr.finish();
             dist
@@ -101,17 +106,18 @@ fn run_huge() {
         "messages",
         "secs",
     ]);
+    let exec = if threads > 1 {
+        Executor::Parallel { threads }
+    } else {
+        Executor::Sequential
+    };
     for d in [4.0, 8.0, 12.0] {
-        let (csr, gen_secs) = timed(|| std::sync::Arc::new(workload_csr(n, d / 2.0, 7)));
+        let (csr, gen_secs) = timed(|| Arc::new(workload_csr(n, d / 2.0, 7)));
         let params = SkeletonParams::new(d, 1.0).expect("valid params");
         let predicted = params.expected_size(n) / n as f64;
         let (dist, secs) = timed(|| {
-            if threads > 1 {
-                distributed::build_distributed_csr_parallel(&csr, &params, 11, threads)
-            } else {
-                distributed::build_distributed_csr(&csr, &params, 11)
-            }
-            .expect("distributed run")
+            distributed::build_distributed_on(&csr, &params, 11, &exec, &mut NullSink)
+                .expect("distributed run")
         });
         assert!(
             csr.subgraph(&dist.edges).is_connected(),

@@ -24,6 +24,7 @@ use spanner_bench::{
 };
 use spanner_graph::traversal::bfs_distances_csr;
 use spanner_graph::{CsrAdjacency, NodeId};
+use spanner_netsim::{Executor, NullSink};
 use ultrasparse::fibonacci::{self, FibonacciParams};
 use ultrasparse::skeleton::{self, SkeletonParams};
 
@@ -35,6 +36,8 @@ fn main() {
     let density = 8.0;
     let seed = 42;
     let g = workload(n, density, seed);
+    let csr = std::sync::Arc::new(CsrAdjacency::from_graph(&g));
+    let seq = Executor::Sequential;
     let pairs = scale3(4_000, 500, 120);
     let threads = threads_arg();
     let traces = TraceOutput::from_args();
@@ -91,7 +94,7 @@ fn main() {
 
     let mut tr = traces.open("bfs");
     let (s, secs) = timed(|| {
-        bfs_skeleton::build_distributed_traced(&g, seed, 10 * n as u32, tr.sink()).unwrap()
+        bfs_skeleton::build_distributed_on(&csr, seed, 10 * n as u32, &seq, tr.sink()).unwrap()
     });
     tr.finish();
     add_row(
@@ -204,7 +207,7 @@ fn main() {
     } else {
         let mut tr = traces.open("skeleton");
         let (s, secs) = timed(|| {
-            skeleton::distributed::build_distributed_traced(&g, &sk, seed, tr.sink()).unwrap()
+            skeleton::distributed::build_distributed_on(&csr, &sk, seed, &seq, tr.sink()).unwrap()
         });
         tr.finish();
         add_row(
@@ -320,7 +323,10 @@ fn run_huge() {
         ]);
     };
 
-    let (s, secs) = timed(|| bfs_skeleton::build_distributed_csr(&csr, seed, 4096).unwrap());
+    let seq = Executor::Sequential;
+    let (s, secs) = timed(|| {
+        bfs_skeleton::build_distributed_on(&csr, seed, 4096, &seq, &mut NullSink).unwrap()
+    });
     add_row("BFS forest", &s, secs, &mut table);
     drop(s);
 
@@ -329,14 +335,14 @@ fn run_huge() {
     add_row("Baswana-Sen k=2 [10]", &s, secs, &mut table);
     drop(s);
 
+    let exec = if threads > 1 {
+        Executor::Parallel { threads }
+    } else {
+        seq
+    };
     let sk = SkeletonParams::default();
     let (s, secs) = timed(|| {
-        if threads > 1 {
-            skeleton::distributed::build_distributed_csr_parallel(&csr, &sk, seed, threads)
-        } else {
-            skeleton::distributed::build_distributed_csr(&csr, &sk, seed)
-        }
-        .unwrap()
+        skeleton::distributed::build_distributed_on(&csr, &sk, seed, &exec, &mut NullSink).unwrap()
     });
     add_row("THIS PAPER: skeleton (Thm 2)", &s, secs, &mut table);
     drop(s);
@@ -344,12 +350,7 @@ fn run_huge() {
     let order = FibonacciParams::max_order(n).min(3);
     let fp = FibonacciParams::new(n, order, 0.5, 4).unwrap();
     let (s, secs) = timed(|| {
-        if threads > 1 {
-            fibonacci::distributed::build_distributed_csr_parallel(&csr, &fp, seed, threads)
-        } else {
-            fibonacci::distributed::build_distributed_csr(&csr, &fp, seed)
-        }
-        .unwrap()
+        fibonacci::distributed::build_distributed_on(&csr, &fp, seed, &exec, &mut NullSink).unwrap()
     });
     add_row("THIS PAPER: Fibonacci (Thm 8)", &s, secs, &mut table);
     drop(s);

@@ -207,7 +207,7 @@ fn labeled_path(base: &Path, label: &str) -> PathBuf {
 
 /// One run's trace destination: a JSON-lines file, or a no-op when
 /// `--trace-out` was not passed. Hand [`RunTrace::sink`] to a
-/// `build_distributed_traced` driver, then call [`RunTrace::finish`].
+/// construction's `build_distributed_on`, then call [`RunTrace::finish`].
 #[derive(Debug)]
 pub struct RunTrace {
     inner: Option<(PathBuf, JsonLinesSink<BufWriter<File>>)>,

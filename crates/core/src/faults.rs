@@ -1,10 +1,16 @@
 //! Typed outcomes for fault-injected distributed builds.
 //!
-//! The `*_faulted` drivers (e.g.
+//! Every construction has one body that runs on an [`ExecutorNetwork`]
+//! handle built from an [`Executor`](spanner_netsim::Executor);
+//! `build_distributed_on` builds a fresh handle per call. The
+//! `build_distributed_faulted` drivers (e.g.
 //! [`skeleton::distributed::build_distributed_faulted`](crate::skeleton::distributed::build_distributed_faulted))
-//! run a construction under a [`FaultPlan`](spanner_netsim::FaultPlan) and
-//! promise exactly one of two outcomes, never a panic and never a silently
-//! wrong spanner:
+//! instead build a sequential handle with a
+//! [`FaultPlan`](spanner_netsim::FaultPlan) attached
+//! ([`ExecutorNetwork::with_faults`]) and hand it to [`build_certified`],
+//! which owns it across the `catch_unwind`, so the partial metrics can
+//! still be read after a contained panic. They promise exactly one of two
+//! outcomes, never a panic and never a silently wrong spanner:
 //!
 //! * `Ok(spanner)` — the surviving output was *certified*: it spans the
 //!   host graph and passes the construction's exact stretch check
@@ -19,7 +25,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use spanner_graph::Graph;
-use spanner_netsim::{RunError, RunMetrics};
+use spanner_netsim::{ExecutorNetwork, RunError, RunMetrics};
 
 use crate::Spanner;
 
@@ -65,13 +71,13 @@ impl std::fmt::Display for FaultError {
 
 impl std::error::Error for FaultError {}
 
-/// Runs `build` (a full simulate-and-collect closure) with panics
+/// Runs `build` (a full simulate-and-collect closure) on `net` with panics
 /// contained, then certifies the result with `check`; the harness behind
 /// every `build_distributed_faulted` driver (spanner constructions outside
 /// this crate use it for theirs too).
 ///
-/// `metrics` is called after the build attempt to recover whatever partial
-/// accounting the network retained — on the `Err` and panic paths too.
+/// `net` outlives the build attempt, so the partial accounting it retained
+/// is reported on the `Err` and panic paths too.
 ///
 /// # Errors
 ///
@@ -80,18 +86,17 @@ impl std::error::Error for FaultError {}
 // The error intentionally carries the run's full `RunMetrics` for
 // post-mortem accounting; callers match on it, so it is not boxed.
 #[allow(clippy::result_large_err)]
-pub fn build_certified<B, M, C>(
+pub fn build_certified<B, C>(
     g: &Graph,
+    mut net: ExecutorNetwork,
     build: B,
-    metrics: M,
     check: C,
 ) -> Result<Spanner, FaultError>
 where
-    B: FnOnce() -> Result<Spanner, RunError>,
-    M: FnOnce() -> RunMetrics,
+    B: FnOnce(&mut ExecutorNetwork) -> Result<Spanner, RunError>,
     C: FnOnce(&Spanner) -> Result<(), String>,
 {
-    let spanner = match catch_unwind(AssertUnwindSafe(build)) {
+    let spanner = match catch_unwind(AssertUnwindSafe(|| build(&mut net))) {
         Err(payload) => {
             let reason = payload
                 .downcast_ref::<&str>()
@@ -100,13 +105,13 @@ where
                 .unwrap_or_else(|| "non-string panic payload".to_owned());
             return Err(FaultError::Uncertified {
                 reason: format!("protocol panicked under faults: {reason}"),
-                metrics: metrics(),
+                metrics: net.metrics(),
             });
         }
         Ok(Err(error)) => {
             return Err(FaultError::Run {
                 error,
-                metrics: metrics(),
+                metrics: net.metrics(),
             })
         }
         Ok(Ok(spanner)) => spanner,
@@ -130,10 +135,24 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spanner_graph::{generators, EdgeSet};
+    use std::sync::Arc;
+
+    use spanner_graph::{generators, CsrAdjacency, EdgeSet};
+    use spanner_netsim::patterns::FloodProtocol;
+    use spanner_netsim::{Executor, MessageBudget, NullSink};
 
     fn tiny() -> Graph {
         generators::cycle(4)
+    }
+
+    fn net(g: &Graph) -> ExecutorNetwork {
+        let csr = Arc::new(CsrAdjacency::from_graph(g));
+        Executor::Sequential.network(csr, MessageBudget::Unbounded, 1)
+    }
+
+    /// Floods from node 0 and stops at the round cap after round 1.
+    fn flood_one_round(net: &mut ExecutorNetwork) -> Result<Vec<FloodProtocol>, RunError> {
+        net.run_traced(|v, _| FloodProtocol::new(v.0 == 0, 8), 1, &mut NullSink)
     }
 
     #[test]
@@ -141,8 +160,8 @@ mod tests {
         let g = tiny();
         let s = build_certified(
             &g,
-            || Ok(Spanner::from_edges(EdgeSet::full(&g))),
-            RunMetrics::default,
+            net(&g),
+            |_| Ok(Spanner::from_edges(EdgeSet::full(&g))),
             |_| Ok(()),
         )
         .unwrap();
@@ -152,19 +171,16 @@ mod tests {
     #[test]
     fn maps_run_errors_with_metrics() {
         let g = tiny();
-        let m = RunMetrics {
-            messages: 7,
-            ..Default::default()
-        };
         let err = build_certified(
             &g,
-            || Err(RunError::RoundLimit { max_rounds: 3 }),
-            || m,
+            net(&g),
+            |net| flood_one_round(net).map(|_| unreachable!("round cap is hit")),
             |_| Ok(()),
         )
         .unwrap_err();
         assert!(matches!(err, FaultError::Run { .. }));
-        assert_eq!(err.metrics().messages, 7);
+        // Node 0's broadcast plus its two neighbours' relays.
+        assert_eq!(err.metrics().messages, 6);
     }
 
     #[test]
@@ -172,8 +188,8 @@ mod tests {
         let g = tiny();
         let err = build_certified(
             &g,
-            || Ok(Spanner::from_edges(EdgeSet::new(&g))),
-            RunMetrics::default,
+            net(&g),
+            |_| Ok(Spanner::from_edges(EdgeSet::new(&g))),
             |_| Ok(()),
         )
         .unwrap_err();
@@ -186,14 +202,19 @@ mod tests {
         let g = tiny();
         let err = build_certified(
             &g,
-            || panic!("scrambled invariant"),
-            RunMetrics::default,
+            net(&g),
+            |net| {
+                let _ = flood_one_round(net);
+                panic!("scrambled invariant")
+            },
             |_| Ok(()),
         )
         .unwrap_err();
         match err {
-            FaultError::Uncertified { reason, .. } => {
+            FaultError::Uncertified { reason, metrics } => {
                 assert!(reason.contains("scrambled invariant"), "{reason}");
+                // The partial run before the panic is still accounted.
+                assert_eq!(metrics.messages, 6);
             }
             other => panic!("expected Uncertified, got {other:?}"),
         }
@@ -204,8 +225,8 @@ mod tests {
         let g = tiny();
         let err = build_certified(
             &g,
-            || Ok(Spanner::from_edges(EdgeSet::full(&g))),
-            RunMetrics::default,
+            net(&g),
+            |_| Ok(Spanner::from_edges(EdgeSet::full(&g))),
             |_| Err("stretch blown".to_owned()),
         )
         .unwrap_err();

@@ -40,13 +40,13 @@ use std::sync::Arc;
 
 use spanner_graph::{CsrAdjacency, EdgeSet, Graph, NodeId};
 use spanner_netsim::{
-    AsyncNetwork, Ctx, FaultPlan, MessageBudget, MessageSize, Network, NullSink, ParallelNetwork,
-    Protocol, RunError, Synchronizer, TraceSink,
+    Ctx, Executor, ExecutorNetwork, FaultPlan, MessageBudget, MessageSize, NullSink, Protocol,
+    RunError, TraceSink,
 };
 
 use crate::faults::FaultError;
 use crate::fibonacci::params::FibonacciParams;
-use crate::fibonacci::sequential::{sample_levels, sample_levels_n};
+use crate::fibonacci::sequential::sample_levels_n;
 use crate::spanner::Spanner;
 
 /// Protocol messages.
@@ -538,17 +538,44 @@ pub fn theorem8_budget(n: usize, t: u32) -> MessageBudget {
     }
 }
 
-/// Runs the distributed Fibonacci construction on the simulator.
+/// Runs the distributed Fibonacci construction on `executor`, straight
+/// off a shared CSR adjacency, streaming round-level
+/// [`TraceEvent`](spanner_netsim::TraceEvent)s into `sink`; each stage of
+/// each level appears as an `L<i>.<stage>` phase span (`parent`, `trunc`,
+/// `ball`, `cease`, `fail`, `tokens`).
 ///
 /// Uses the same per-vertex level sampling as
 /// [`build_sequential`](crate::fibonacci::sequential::build_sequential)
 /// (same seed ⇒ same hierarchy), so the two constructions are directly
-/// comparable.
+/// comparable. Every executor builds the same spanner with the same
+/// protocol-level metrics; [`Executor::Async`] adds its event and
+/// synchronizer counters.
 ///
 /// # Errors
 ///
 /// Propagates simulator failures (round cap / budget violation); neither
 /// occurs for the timetable this function derives.
+///
+/// # Panics
+///
+/// Panics if `executor` is [`Executor::Parallel`] with zero threads.
+pub fn build_distributed_on(
+    csr: &Arc<CsrAdjacency>,
+    params: &FibonacciParams,
+    seed: u64,
+    executor: &Executor,
+    sink: &mut dyn TraceSink,
+) -> Result<Spanner, RunError> {
+    let budget = theorem8_budget(csr.node_count(), params.t);
+    let mut net = executor.network(Arc::clone(csr), budget, seed);
+    run(&mut net, params, seed, sink)
+}
+
+/// [`build_distributed_on`] for a [`Graph`] on the sequential executor, untraced.
+///
+/// # Errors
+///
+/// Propagates simulator failures, as [`build_distributed_on`] does.
 pub fn build_distributed(
     g: &Graph,
     params: &FibonacciParams,
@@ -557,119 +584,32 @@ pub fn build_distributed(
     build_distributed_traced(g, params, seed, &mut NullSink)
 }
 
-/// Like [`build_distributed`], streaming round-level
-/// [`TraceEvent`](spanner_netsim::TraceEvent)s into `sink`; each stage of
-/// each level appears as an `L<i>.<stage>` phase span (`parent`, `trunc`,
-/// `ball`, `cease`, `fail`, `tokens`).
+/// [`build_distributed_on`] for a [`Graph`] on the sequential executor.
 ///
 /// # Errors
 ///
-/// Propagates simulator failures, as [`build_distributed`] does.
+/// Propagates simulator failures, as [`build_distributed_on`] does.
 pub fn build_distributed_traced(
     g: &Graph,
     params: &FibonacciParams,
     seed: u64,
     sink: &mut dyn TraceSink,
 ) -> Result<Spanner, RunError> {
-    let n = g.node_count();
-    if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
-    }
-    let levels = sample_levels(g, params, seed);
-    let budget = theorem8_budget(n, params.t);
-    let cfg = Arc::new(FibConfig::build(params, n, budget, diameter_cap(g)));
-    let mut net = Network::new(g, budget, seed);
-    let max_rounds = cfg.total_rounds + 8;
-    let states = net.run_traced(
-        |v, _| FibNode::new(Arc::clone(&cfg), levels[v.index()]),
-        max_rounds,
-        sink,
-    )?;
-    Ok(collect_spanner(g, &states, net.metrics()))
+    let csr = Arc::new(CsrAdjacency::from_graph(g));
+    build_distributed_on(&csr, params, seed, &Executor::Sequential, sink)
 }
 
-/// Like [`build_distributed`], executed on the event-driven asynchronous
-/// simulator with per-link latencies from `delays` and round semantics
-/// recovered by `synchronizer` (see [`spanner_netsim::AsyncNetwork`]).
-/// Builds the exact spanner of [`build_distributed`] for every delay plan,
-/// with async cost counters added to the metrics.
+/// [`build_distributed_on`] on the sequential executor, untraced.
 ///
 /// # Errors
 ///
-/// Propagates simulator failures, as [`build_distributed`] does.
-pub fn build_distributed_async(
-    g: &Graph,
+/// Propagates simulator failures, as [`build_distributed_on`] does.
+pub fn build_distributed_csr(
+    csr: &Arc<CsrAdjacency>,
     params: &FibonacciParams,
     seed: u64,
-    delays: &FaultPlan,
-    synchronizer: Synchronizer,
 ) -> Result<Spanner, RunError> {
-    let n = g.node_count();
-    if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
-    }
-    let levels = sample_levels(g, params, seed);
-    let budget = theorem8_budget(n, params.t);
-    let cfg = Arc::new(FibConfig::build(params, n, budget, diameter_cap(g)));
-    let mut net = AsyncNetwork::new(g, budget, seed)
-        .with_delays(delays.clone())
-        .with_synchronizer(synchronizer);
-    let max_rounds = cfg.total_rounds + 8;
-    let states = net.run(
-        |v, _| FibNode::new(Arc::clone(&cfg), levels[v.index()]),
-        max_rounds,
-    )?;
-    Ok(collect_spanner(g, &states, net.metrics()))
-}
-
-/// Like [`build_distributed`], executed on `threads` worker threads.
-///
-/// Deterministic in `seed` and independent of `threads`: produces exactly
-/// the spanner and metrics of [`build_distributed`] (asserted in tests).
-///
-/// # Errors
-///
-/// Propagates simulator failures, as [`build_distributed`] does.
-pub fn build_distributed_parallel(
-    g: &Graph,
-    params: &FibonacciParams,
-    seed: u64,
-    threads: usize,
-) -> Result<Spanner, RunError> {
-    build_distributed_parallel_traced(g, params, seed, threads, &mut NullSink)
-}
-
-/// Like [`build_distributed_parallel`], streaming trace events into `sink`.
-///
-/// The event stream is byte-identical to the one
-/// [`build_distributed_traced`] produces for the same graph and seed,
-/// whatever `threads` is (asserted in tests).
-///
-/// # Errors
-///
-/// Propagates simulator failures, as [`build_distributed`] does.
-pub fn build_distributed_parallel_traced(
-    g: &Graph,
-    params: &FibonacciParams,
-    seed: u64,
-    threads: usize,
-    sink: &mut dyn TraceSink,
-) -> Result<Spanner, RunError> {
-    let n = g.node_count();
-    if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
-    }
-    let levels = sample_levels(g, params, seed);
-    let budget = theorem8_budget(n, params.t);
-    let cfg = Arc::new(FibConfig::build(params, n, budget, diameter_cap(g)));
-    let mut net = ParallelNetwork::new(g, budget, seed, threads);
-    let max_rounds = cfg.total_rounds + 8;
-    let states = net.run_traced(
-        |v, _| FibNode::new(Arc::clone(&cfg), levels[v.index()]),
-        max_rounds,
-        sink,
-    )?;
-    Ok(collect_spanner(g, &states, net.metrics()))
+    build_distributed_on(csr, params, seed, &Executor::Sequential, &mut NullSink)
 }
 
 /// Runs the distributed Fibonacci construction under a fault schedule.
@@ -692,28 +632,16 @@ pub fn build_distributed_faulted(
     seed: u64,
     plan: &FaultPlan,
 ) -> Result<Spanner, FaultError> {
-    let n = g.node_count();
-    if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
-    }
-    let levels = sample_levels(g, params, seed);
-    let budget = theorem8_budget(n, params.t);
-    let cfg = Arc::new(FibConfig::build(params, n, budget, diameter_cap(g)));
-    let max_rounds = cfg.total_rounds + 8;
-    let net = std::cell::RefCell::new(Network::new(g, budget, seed).with_faults(plan.clone()));
+    let budget = theorem8_budget(g.node_count(), params.t);
+    let csr = Arc::new(CsrAdjacency::from_graph(g));
+    let net = Executor::Sequential
+        .network(csr, budget, seed)
+        .with_faults(plan.clone());
     let (order, ell) = (params.order, params.ell);
     crate::faults::build_certified(
         g,
-        || {
-            let mut net = net.borrow_mut();
-            let states = net.run(
-                |v, _| FibNode::new(Arc::clone(&cfg), levels[v.index()]),
-                max_rounds,
-            )?;
-            let metrics = net.metrics();
-            Ok(collect_spanner(g, &states, metrics))
-        },
-        || net.borrow().metrics(),
+        net,
+        |net| run(net, params, seed, &mut NullSink),
         |s| match s.check_envelope_exact(g, |d| {
             crate::fibonacci::analysis::distortion_envelope(order, ell, d as u64)
         }) {
@@ -723,122 +651,50 @@ pub fn build_distributed_faulted(
     )
 }
 
-/// [`build_distributed`] straight from a shared CSR adjacency: no
-/// [`Graph`] is ever materialized. Byte-identical spanner and metrics to
-/// the `Graph` driver on the same topology (asserted in tests); this is
-/// the memory-lean entry point the `--scale huge` experiment tiers use.
-///
-/// # Errors
-///
-/// Propagates simulator failures, as [`build_distributed`] does.
-pub fn build_distributed_csr(
-    csr: &Arc<CsrAdjacency>,
+/// The construction: samples the level hierarchy from `(n, params, seed)`,
+/// derives the timetable from it and the network's budget, runs it on
+/// `net` and collects the spanner.
+fn run(
+    net: &mut ExecutorNetwork,
     params: &FibonacciParams,
     seed: u64,
+    sink: &mut dyn TraceSink,
 ) -> Result<Spanner, RunError> {
+    let csr = net.adjacency();
     let n = csr.node_count();
     if n == 0 {
         return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
     }
     let levels = sample_levels_n(n, params, seed);
-    let budget = theorem8_budget(n, params.t);
-    let cfg = Arc::new(FibConfig::build(params, n, budget, diameter_cap_csr(csr)));
-    let mut net = Network::from_csr(Arc::clone(csr), budget, seed);
+    let cfg = Arc::new(FibConfig::build(params, n, net.budget(), diameter_cap(csr)));
     let max_rounds = cfg.total_rounds + 8;
-    let states = net.run(
+    let states = net.run_traced(
         |v, _| FibNode::new(Arc::clone(&cfg), levels[v.index()]),
         max_rounds,
+        sink,
     )?;
-    Ok(collect_spanner_csr(csr, &states, net.metrics()))
+    let pairs = states.iter().flat_map(|st| st.selected.iter().copied());
+    Ok(Spanner::from_selections(
+        net.adjacency(),
+        pairs,
+        net.metrics(),
+    ))
 }
 
-/// [`build_distributed_csr`] executed on `threads` worker threads.
-/// Deterministic in `seed` and independent of `threads`.
-///
-/// # Errors
-///
-/// Propagates simulator failures, as [`build_distributed`] does.
-pub fn build_distributed_csr_parallel(
-    csr: &Arc<CsrAdjacency>,
-    params: &FibonacciParams,
-    seed: u64,
-    threads: usize,
-) -> Result<Spanner, RunError> {
-    let n = csr.node_count();
-    if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
-    }
-    let levels = sample_levels_n(n, params, seed);
-    let budget = theorem8_budget(n, params.t);
-    let cfg = Arc::new(FibConfig::build(params, n, budget, diameter_cap_csr(csr)));
-    let mut net = ParallelNetwork::from_csr(Arc::clone(csr), budget, seed, threads);
-    let max_rounds = cfg.total_rounds + 8;
-    let states = net.run(
-        |v, _| FibNode::new(Arc::clone(&cfg), levels[v.index()]),
-        max_rounds,
-    )?;
-    Ok(collect_spanner_csr(csr, &states, net.metrics()))
-}
-
-/// [`collect_spanner`] against a CSR edge index instead of `Graph` lookup.
-fn collect_spanner_csr(
-    csr: &CsrAdjacency,
-    states: &[FibNode],
-    metrics: spanner_netsim::RunMetrics,
-) -> Spanner {
-    let index = csr.edge_index();
-    let mut edges = EdgeSet::with_universe(index.edge_count());
-    for st in states {
-        for &(a, b) in &st.selected {
-            let e = index.edge_id(csr, a, b).expect("selected edges exist");
-            edges.insert(e);
-        }
-    }
-    Spanner {
-        edges,
-        metrics: Some(metrics),
-    }
-}
-
-/// [`diameter_cap`] over a CSR adjacency (identical value on the same
-/// topology: the two-sweep start vertex and tiebreaks match exactly).
-fn diameter_cap_csr(csr: &CsrAdjacency) -> u32 {
-    if csr.node_count() == 0 {
-        return 2;
-    }
-    let ecc = spanner_graph::distance::diameter_two_sweep_csr(csr, NodeId(0));
-    2 * ecc + 2
-}
-
-/// Gathers per-node edge selections into a [`Spanner`] with metrics.
-fn collect_spanner(g: &Graph, states: &[FibNode], metrics: spanner_netsim::RunMetrics) -> Spanner {
-    let mut edges = EdgeSet::new(g);
-    for st in states {
-        for &(a, b) in &st.selected {
-            let e = g.find_edge(a, b).expect("selected edges exist");
-            edges.insert(e);
-        }
-    }
-    Spanner {
-        edges,
-        metrics: Some(metrics),
-    }
-}
-
-/// Planned timetable length in rounds for a concrete input graph (used by
-/// E9's tradeoff table).
-pub fn timetable_rounds(g: &Graph, params: &FibonacciParams) -> u32 {
-    let n = g.node_count().max(2);
-    FibConfig::build(params, n, theorem8_budget(n, params.t), diameter_cap(g)).total_rounds
+/// Planned timetable length in rounds for a concrete input topology (used
+/// by E9's tradeoff table).
+pub fn timetable_rounds(csr: &CsrAdjacency, params: &FibonacciParams) -> u32 {
+    let n = csr.node_count().max(2);
+    FibConfig::build(params, n, theorem8_budget(n, params.t), diameter_cap(csr)).total_rounds
 }
 
 /// A certified upper bound on the diameter: twice the eccentricity found
 /// by the classic two-sweep heuristic, plus slack.
-fn diameter_cap(g: &Graph) -> u32 {
-    if g.node_count() == 0 {
+fn diameter_cap(csr: &CsrAdjacency) -> u32 {
+    if csr.node_count() == 0 {
         return 2;
     }
-    let ecc = spanner_graph::distance::diameter_two_sweep(g, NodeId(0));
+    let ecc = spanner_graph::distance::diameter_two_sweep_csr(csr, NodeId(0));
     2 * ecc + 2
 }
 
@@ -895,7 +751,7 @@ mod tests {
     fn rounds_within_timetable() {
         let g = generators::connected_gnm(200, 700, 2);
         let p = params(200, 2, 0);
-        let planned = timetable_rounds(&g, &p);
+        let planned = timetable_rounds(&CsrAdjacency::from_graph(&g), &p);
         let s = build_distributed(&g, &p, 1).unwrap();
         assert!(s.metrics.unwrap().rounds <= planned + 8);
     }
@@ -934,8 +790,10 @@ mod tests {
         let g = generators::connected_gnm(250, 900, 12);
         let p = params(250, 2, 3);
         let seq = build_distributed(&g, &p, 4).unwrap();
+        let csr = Arc::new(CsrAdjacency::from_graph(&g));
         for threads in [1, 2, 4] {
-            let par = build_distributed_parallel(&g, &p, 4, threads).unwrap();
+            let exec = Executor::Parallel { threads };
+            let par = build_distributed_on(&csr, &p, 4, &exec, &mut NullSink).unwrap();
             assert_eq!(seq.edges, par.edges, "{threads} threads");
             assert_eq!(seq.metrics, par.metrics, "{threads} threads");
         }
@@ -953,7 +811,8 @@ mod tests {
         assert_eq!(graph_built.edges, csr_built.edges);
         assert_eq!(graph_built.metrics, csr_built.metrics);
         for threads in [1, 4] {
-            let par = build_distributed_csr_parallel(&csr, &p, 4, threads).unwrap();
+            let exec = Executor::Parallel { threads };
+            let par = build_distributed_on(&csr, &p, 4, &exec, &mut NullSink).unwrap();
             assert_eq!(graph_built.edges, par.edges, "{threads} threads");
             assert_eq!(graph_built.metrics, par.metrics, "{threads} threads");
         }
@@ -993,7 +852,9 @@ mod tests {
         let mut par_sink = spanner_netsim::JsonLinesSink::new(Vec::<u8>::new());
         let mut seq_sink2 = spanner_netsim::JsonLinesSink::new(Vec::<u8>::new());
         build_distributed_traced(&g, &p, 4, &mut seq_sink2).unwrap();
-        build_distributed_parallel_traced(&g, &p, 4, 4, &mut par_sink).unwrap();
+        let csr = Arc::new(CsrAdjacency::from_graph(&g));
+        let exec = Executor::Parallel { threads: 4 };
+        build_distributed_on(&csr, &p, 4, &exec, &mut par_sink).unwrap();
         assert_eq!(seq_sink2.finish().unwrap(), par_sink.finish().unwrap());
     }
 }

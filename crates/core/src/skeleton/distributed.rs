@@ -46,8 +46,8 @@ use std::sync::Arc;
 
 use spanner_graph::{CsrAdjacency, EdgeSet, Graph, NodeId};
 use spanner_netsim::{
-    AsyncNetwork, Ctx, FaultPlan, MessageBudget, MessageSize, Network, NullSink, ParallelNetwork,
-    Protocol, RunError, Synchronizer, TraceSink,
+    Ctx, Executor, ExecutorNetwork, FaultPlan, MessageBudget, MessageSize, NullSink, Protocol,
+    RunError, Synchronizer, TraceSink,
 };
 
 use crate::expand::ClusterSampler;
@@ -581,136 +581,101 @@ pub fn theorem2_budget(n: usize, eps: f64) -> MessageBudget {
     MessageBudget::Words(3 * w.max(1) + 8)
 }
 
-/// Runs the distributed skeleton protocol of Theorem 2 on the simulator.
+/// Runs the distributed skeleton protocol of Theorem 2 on `executor`,
+/// straight off a shared CSR adjacency, streaming round-level
+/// [`TraceEvent`](spanner_netsim::TraceEvent)s into `sink`; each `Expand`
+/// call appears as an `expand[..]` phase span.
 ///
 /// Returns the spanner (collected from per-node selections) with the run's
-/// communication metrics attached.
+/// communication metrics attached. Edge ids are the ones
+/// [`Graph::from_edges`] assigns on the same topology. Every executor
+/// builds the same spanner with the same protocol-level metrics and trace
+/// stream; [`Executor::Async`] adds events, synchronizer traffic and the
+/// simulated-time horizon to the metrics, and passing a previously built
+/// spanner as [`Synchronizer::Skeleton`] edges reproduces the Bitton et al.
+/// message-reduction transformation.
 ///
 /// # Errors
 ///
 /// Propagates simulator failures — a round-limit or budget violation would
 /// indicate a bug in the timetable, and is asserted against in tests.
+///
+/// # Panics
+///
+/// Panics if `executor` is [`Executor::Parallel`] with zero threads.
+pub fn build_distributed_on(
+    csr: &Arc<CsrAdjacency>,
+    params: &SkeletonParams,
+    seed: u64,
+    executor: &Executor,
+    sink: &mut dyn TraceSink,
+) -> Result<Spanner, RunError> {
+    let budget = theorem2_budget(csr.node_count(), params.eps);
+    let mut net = executor.network(Arc::clone(csr), budget, seed);
+    run(&mut net, params, seed, sink)
+}
+
+/// [`build_distributed_on`] for a [`Graph`] on the sequential executor, untraced.
+///
+/// # Errors
+///
+/// Propagates simulator failures, as [`build_distributed_on`] does.
 pub fn build_distributed(
     g: &Graph,
     params: &SkeletonParams,
     seed: u64,
 ) -> Result<Spanner, RunError> {
-    build_distributed_traced(g, params, seed, &mut NullSink)
+    let csr = Arc::new(CsrAdjacency::from_graph(g));
+    build_distributed_on(&csr, params, seed, &Executor::Sequential, &mut NullSink)
 }
 
-/// Like [`build_distributed`], streaming round-level
-/// [`TraceEvent`](spanner_netsim::TraceEvent)s into `sink`; each `Expand`
-/// call appears as an `expand[..]` phase span.
+/// [`build_distributed_on`] on the sequential executor, untraced.
 ///
 /// # Errors
 ///
-/// Propagates simulator failures, as [`build_distributed`] does.
-pub fn build_distributed_traced(
-    g: &Graph,
-    params: &SkeletonParams,
-    seed: u64,
-    sink: &mut dyn TraceSink,
-) -> Result<Spanner, RunError> {
-    let n = g.node_count();
-    if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
-    }
-    let schedule = params.schedule(n);
-    let budget = theorem2_budget(n, params.eps);
-    let words = budget.limit().expect("theorem2 budget is bounded");
-    let cfg = Arc::new(SkelConfig::build(&schedule, n, seed, words));
-    let mut net = Network::new(g, budget, seed);
-    let max_rounds = cfg.total_rounds + 8;
-    let states = net.run_traced(|v, _| SkelNode::new(Arc::clone(&cfg), v), max_rounds, sink)?;
-    Ok(collect_spanner(g, &states, net.metrics()))
-}
-
-/// Like [`build_distributed`], running straight off a shared CSR adjacency
-/// with no [`Graph`] ever materialized — the construction path the
-/// million-node experiment tiers use. For the same topology and seed the
-/// result (spanner edge set, metrics) is byte-identical to
-/// [`build_distributed`]'s: edge identifiers are recovered through
-/// [`CsrAdjacency::edge_index`], which reproduces
-/// [`Graph::from_edges`]' lexicographic edge-id order.
-///
-/// # Errors
-///
-/// Propagates simulator failures, as [`build_distributed`] does.
+/// Propagates simulator failures, as [`build_distributed_on`] does.
 pub fn build_distributed_csr(
     csr: &Arc<CsrAdjacency>,
     params: &SkeletonParams,
     seed: u64,
 ) -> Result<Spanner, RunError> {
-    build_distributed_csr_traced(csr, params, seed, &mut NullSink)
+    build_distributed_on(csr, params, seed, &Executor::Sequential, &mut NullSink)
 }
 
-/// Like [`build_distributed_csr`], streaming trace events into `sink`.
+/// [`build_distributed_on`] on the sequential executor.
 ///
 /// # Errors
 ///
-/// Propagates simulator failures, as [`build_distributed`] does.
+/// Propagates simulator failures, as [`build_distributed_on`] does.
 pub fn build_distributed_csr_traced(
     csr: &Arc<CsrAdjacency>,
     params: &SkeletonParams,
     seed: u64,
     sink: &mut dyn TraceSink,
 ) -> Result<Spanner, RunError> {
-    let n = csr.node_count();
-    if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
-    }
-    let schedule = params.schedule(n);
-    let budget = theorem2_budget(n, params.eps);
-    let words = budget.limit().expect("theorem2 budget is bounded");
-    let cfg = Arc::new(SkelConfig::build(&schedule, n, seed, words));
-    let mut net = Network::from_csr(Arc::clone(csr), budget, seed);
-    let max_rounds = cfg.total_rounds + 8;
-    let states = net.run_traced(|v, _| SkelNode::new(Arc::clone(&cfg), v), max_rounds, sink)?;
-    Ok(collect_spanner_csr(csr, &states, net.metrics()))
+    build_distributed_on(csr, params, seed, &Executor::Sequential, sink)
 }
 
-/// Like [`build_distributed_parallel`], running straight off a shared CSR
-/// adjacency. Byte-identical output to [`build_distributed_csr`] at any
-/// thread count.
+/// [`build_distributed_on`] on `threads` worker threads, untraced.
 ///
 /// # Errors
 ///
-/// Propagates simulator failures, as [`build_distributed`] does.
+/// Propagates simulator failures, as [`build_distributed_on`] does.
 pub fn build_distributed_csr_parallel(
     csr: &Arc<CsrAdjacency>,
     params: &SkeletonParams,
     seed: u64,
     threads: usize,
 ) -> Result<Spanner, RunError> {
-    let n = csr.node_count();
-    if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
-    }
-    let schedule = params.schedule(n);
-    let budget = theorem2_budget(n, params.eps);
-    let words = budget.limit().expect("theorem2 budget is bounded");
-    let cfg = Arc::new(SkelConfig::build(&schedule, n, seed, words));
-    let mut net = ParallelNetwork::from_csr(Arc::clone(csr), budget, seed, threads);
-    let max_rounds = cfg.total_rounds + 8;
-    let states = net.run(|v, _| SkelNode::new(Arc::clone(&cfg), v), max_rounds)?;
-    Ok(collect_spanner_csr(csr, &states, net.metrics()))
+    let executor = Executor::Parallel { threads };
+    build_distributed_on(csr, params, seed, &executor, &mut NullSink)
 }
 
-/// Like [`build_distributed`], executed on the event-driven asynchronous
-/// simulator: per-link latencies come from `delays` (see
-/// [`spanner_netsim::FaultPlan::link_latency`]; only the plan's delay
-/// clause is consulted), and `synchronizer` recovers round semantics.
-///
-/// Because the synchronizer is exact, the built spanner and protocol-level
-/// metrics equal [`build_distributed`]'s for every delay plan (asserted in
-/// `tests/synchronizer_conformance.rs`); the run additionally reports
-/// events, synchronizer traffic, and the simulated-time horizon. Passing a
-/// previously built spanner as [`Synchronizer::Skeleton`] edges reproduces
-/// the Bitton et al. message-reduction transformation.
+/// [`build_distributed_on`] for a [`Graph`] on the asynchronous executor.
 ///
 /// # Errors
 ///
-/// Propagates simulator failures, as [`build_distributed`] does.
+/// Propagates simulator failures, as [`build_distributed_on`] does.
 pub fn build_distributed_async(
     g: &Graph,
     params: &SkeletonParams,
@@ -718,68 +683,12 @@ pub fn build_distributed_async(
     delays: &FaultPlan,
     synchronizer: Synchronizer,
 ) -> Result<Spanner, RunError> {
-    let n = g.node_count();
-    if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
-    }
-    let schedule = params.schedule(n);
-    let budget = theorem2_budget(n, params.eps);
-    let words = budget.limit().expect("theorem2 budget is bounded");
-    let cfg = Arc::new(SkelConfig::build(&schedule, n, seed, words));
-    let mut net = AsyncNetwork::new(g, budget, seed)
-        .with_delays(delays.clone())
-        .with_synchronizer(synchronizer);
-    let max_rounds = cfg.total_rounds + 8;
-    let states = net.run(|v, _| SkelNode::new(Arc::clone(&cfg), v), max_rounds)?;
-    Ok(collect_spanner(g, &states, net.metrics()))
-}
-
-/// Like [`build_distributed`], executed on `threads` worker threads.
-///
-/// Deterministic in `seed` and independent of `threads`: produces exactly
-/// the spanner and metrics of [`build_distributed`] (asserted in tests),
-/// just faster on large inputs.
-///
-/// # Errors
-///
-/// Propagates simulator failures, as [`build_distributed`] does.
-pub fn build_distributed_parallel(
-    g: &Graph,
-    params: &SkeletonParams,
-    seed: u64,
-    threads: usize,
-) -> Result<Spanner, RunError> {
-    build_distributed_parallel_traced(g, params, seed, threads, &mut NullSink)
-}
-
-/// Like [`build_distributed_parallel`], streaming trace events into `sink`.
-///
-/// The event stream is byte-identical to the one
-/// [`build_distributed_traced`] produces for the same graph and seed,
-/// whatever `threads` is (asserted in tests).
-///
-/// # Errors
-///
-/// Propagates simulator failures, as [`build_distributed`] does.
-pub fn build_distributed_parallel_traced(
-    g: &Graph,
-    params: &SkeletonParams,
-    seed: u64,
-    threads: usize,
-    sink: &mut dyn TraceSink,
-) -> Result<Spanner, RunError> {
-    let n = g.node_count();
-    if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
-    }
-    let schedule = params.schedule(n);
-    let budget = theorem2_budget(n, params.eps);
-    let words = budget.limit().expect("theorem2 budget is bounded");
-    let cfg = Arc::new(SkelConfig::build(&schedule, n, seed, words));
-    let mut net = ParallelNetwork::new(g, budget, seed, threads);
-    let max_rounds = cfg.total_rounds + 8;
-    let states = net.run_traced(|v, _| SkelNode::new(Arc::clone(&cfg), v), max_rounds, sink)?;
-    Ok(collect_spanner(g, &states, net.metrics()))
+    let executor = Executor::Async {
+        delays: delays.clone(),
+        synchronizer,
+    };
+    let csr = Arc::new(CsrAdjacency::from_graph(g));
+    build_distributed_on(&csr, params, seed, &executor, &mut NullSink)
 }
 
 /// Runs the distributed skeleton protocol under a fault schedule.
@@ -804,29 +713,16 @@ pub fn build_distributed_faulted(
     seed: u64,
     plan: &FaultPlan,
 ) -> Result<Spanner, FaultError> {
-    let n = g.node_count();
-    if n == 0 {
-        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
-    }
-    let schedule = params.schedule(n);
-    let budget = theorem2_budget(n, params.eps);
-    let words = budget.limit().expect("theorem2 budget is bounded");
-    let cfg = Arc::new(SkelConfig::build(&schedule, n, seed, words));
-    let max_rounds = cfg.total_rounds + 8;
-    // RefCell: the build closure and the metrics-recovery closure both
-    // need the network; the latter only runs after the former finished
-    // (or unwound, which releases the borrow).
-    let net = std::cell::RefCell::new(Network::new(g, budget, seed).with_faults(plan.clone()));
-    let bound = schedule.distortion_bound as f64;
+    let budget = theorem2_budget(g.node_count(), params.eps);
+    let csr = Arc::new(CsrAdjacency::from_graph(g));
+    let net = Executor::Sequential
+        .network(csr, budget, seed)
+        .with_faults(plan.clone());
+    let bound = params.schedule(g.node_count()).distortion_bound as f64;
     crate::faults::build_certified(
         g,
-        || {
-            let mut net = net.borrow_mut();
-            let states = net.run(|v, _| SkelNode::new(Arc::clone(&cfg), v), max_rounds)?;
-            let metrics = net.metrics();
-            Ok(collect_spanner(g, &states, metrics))
-        },
-        || net.borrow().metrics(),
+        net,
+        |net| run(net, params, seed, &mut NullSink),
         |s| {
             spanner_graph::verify_stretch_exact(
                 g,
@@ -838,43 +734,29 @@ pub fn build_distributed_faulted(
     )
 }
 
-/// Gathers per-node edge selections into a [`Spanner`] with metrics.
-fn collect_spanner(g: &Graph, states: &[SkelNode], metrics: spanner_netsim::RunMetrics) -> Spanner {
-    let mut edges = EdgeSet::new(g);
-    for st in states {
-        for &(a, b) in &st.selected {
-            let e = g.find_edge(a, b).expect("selected edges are graph edges");
-            edges.insert(e);
-        }
+/// The construction: derives the timetable from `(n, params, seed)` and
+/// the network's budget, runs it on `net` and collects the spanner.
+fn run(
+    net: &mut ExecutorNetwork,
+    params: &SkeletonParams,
+    seed: u64,
+    sink: &mut dyn TraceSink,
+) -> Result<Spanner, RunError> {
+    let n = net.adjacency().node_count();
+    if n == 0 {
+        return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
     }
-    Spanner {
-        edges,
-        metrics: Some(metrics),
-    }
-}
-
-/// [`collect_spanner`] for the zero-`Graph` path: edge ids come from the
-/// CSR edge index, which reproduces the lexicographic id order of
-/// [`Graph::from_edges`] exactly.
-fn collect_spanner_csr(
-    csr: &CsrAdjacency,
-    states: &[SkelNode],
-    metrics: spanner_netsim::RunMetrics,
-) -> Spanner {
-    let index = csr.edge_index();
-    let mut edges = EdgeSet::with_universe(index.edge_count());
-    for st in states {
-        for &(a, b) in &st.selected {
-            let e = index
-                .edge_id(csr, a, b)
-                .expect("selected edges are graph edges");
-            edges.insert(e);
-        }
-    }
-    Spanner {
-        edges,
-        metrics: Some(metrics),
-    }
+    let schedule = params.schedule(n);
+    let words = net.budget().limit().expect("theorem2 budget is bounded");
+    let cfg = Arc::new(SkelConfig::build(&schedule, n, seed, words));
+    let max_rounds = cfg.total_rounds + 8;
+    let states = net.run_traced(|v, _| SkelNode::new(Arc::clone(&cfg), v), max_rounds, sink)?;
+    let pairs = states.iter().flat_map(|st| st.selected.iter().copied());
+    Ok(Spanner::from_selections(
+        net.adjacency(),
+        pairs,
+        net.metrics(),
+    ))
 }
 
 /// Number of simulator rounds the timetable occupies for an n-node input —
@@ -991,8 +873,10 @@ mod tests {
         let params = SkeletonParams::default();
         let g = generators::connected_gnm(300, 1_500, 23);
         let seq = build_distributed(&g, &params, 6).unwrap();
+        let csr = Arc::new(CsrAdjacency::from_graph(&g));
         for threads in [1, 2, 4] {
-            let par = build_distributed_parallel(&g, &params, 6, threads).unwrap();
+            let exec = Executor::Parallel { threads };
+            let par = build_distributed_on(&csr, &params, 6, &exec, &mut NullSink).unwrap();
             assert_eq!(seq.edges, par.edges, "{threads} threads");
             assert_eq!(seq.metrics, par.metrics, "{threads} threads");
         }
@@ -1036,7 +920,8 @@ mod tests {
         let params = SkeletonParams::default();
         let g = generators::erdos_renyi_gnm(10_000, 30_000, 3);
         let mut summary = spanner_netsim::TraceSummary::new();
-        let s = build_distributed_traced(&g, &params, 7, &mut summary).unwrap();
+        let csr = Arc::new(CsrAdjacency::from_graph(&g));
+        let s = build_distributed_csr_traced(&csr, &params, 7, &mut summary).unwrap();
         let m = s.metrics.expect("distributed metrics");
         assert!(m.agrees_with(&summary), "{m} vs trace totals");
         let phase_rounds: u32 = summary.phases().iter().map(|p| p.rounds).sum::<u32>()
@@ -1061,14 +946,15 @@ mod tests {
     fn traced_parallel_stream_matches_sequential() {
         let params = SkeletonParams::default();
         let g = generators::connected_gnm(600, 3_600, 29);
+        let csr = Arc::new(CsrAdjacency::from_graph(&g));
         let mut seq_sink = spanner_netsim::JsonLinesSink::new(Vec::<u8>::new());
-        let seq = build_distributed_traced(&g, &params, 6, &mut seq_sink).unwrap();
+        let seq = build_distributed_csr_traced(&csr, &params, 6, &mut seq_sink).unwrap();
         let seq_bytes = seq_sink.finish().unwrap();
         assert!(!seq_bytes.is_empty());
         for threads in [1, 2, 4, 8] {
             let mut par_sink = spanner_netsim::JsonLinesSink::new(Vec::<u8>::new());
-            let par =
-                build_distributed_parallel_traced(&g, &params, 6, threads, &mut par_sink).unwrap();
+            let exec = Executor::Parallel { threads };
+            let par = build_distributed_on(&csr, &params, 6, &exec, &mut par_sink).unwrap();
             assert_eq!(seq.edges, par.edges, "{threads} threads");
             assert_eq!(seq_bytes, par_sink.finish().unwrap(), "{threads} threads");
         }

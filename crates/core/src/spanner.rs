@@ -10,7 +10,7 @@
 use spanner_graph::components::preserves_connectivity;
 use spanner_graph::distance::{sample_pairs, UNREACHABLE};
 use spanner_graph::engine::BfsScratch;
-use spanner_graph::{DistanceEngine, EdgeSet, Graph, NodeId};
+use spanner_graph::{CsrAdjacency, DistanceEngine, EdgeSet, Graph, NodeId};
 use spanner_netsim::RunMetrics;
 
 /// A spanner of a host graph: the selected edge subset plus the cost of
@@ -30,6 +30,35 @@ impl Spanner {
         Spanner {
             edges,
             metrics: None,
+        }
+    }
+
+    /// Collects a distributed run's per-node edge selections, given as
+    /// endpoint pairs of `csr` edges, into a spanner carrying the run's
+    /// metrics. Edge ids come from [`CsrAdjacency::edge_index`], which
+    /// reproduces [`Graph::from_edges`]' lexicographic id order, so the
+    /// result is the one a `Graph` lookup would give.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair is not an edge of `csr`.
+    pub fn from_selections(
+        csr: &CsrAdjacency,
+        pairs: impl IntoIterator<Item = (NodeId, NodeId)>,
+        metrics: RunMetrics,
+    ) -> Self {
+        let index = csr.edge_index();
+        let mut edges = EdgeSet::with_universe(index.edge_count());
+        for (a, b) in pairs {
+            edges.insert(
+                index
+                    .edge_id(csr, a, b)
+                    .expect("selected edges are graph edges"),
+            );
+        }
+        Spanner {
+            edges,
+            metrics: Some(metrics),
         }
     }
 

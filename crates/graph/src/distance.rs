@@ -379,26 +379,9 @@ pub fn diameter_exact(g: &Graph) -> Option<u32> {
     DistanceEngine::new(g).diameter()
 }
 
-/// Two-sweep diameter lower bound: BFS from `start`, then BFS from the
-/// farthest node found. Exact on trees, a good estimate in general.
-pub fn diameter_two_sweep(g: &Graph, start: NodeId) -> u32 {
-    let d1 = bfs_distances(g, start);
-    let far = d1
-        .iter()
-        .enumerate()
-        .filter_map(|(v, d)| d.map(|x| (x, v)))
-        .max()
-        .map(|(_, v)| NodeId(v as u32));
-    match far {
-        Some(f) => eccentricity(g, f),
-        None => 0,
-    }
-}
-
-/// [`diameter_two_sweep`] over a bare CSR adjacency — identical result to
-/// the [`Graph`] version on the equivalent topology: BFS distances are
-/// neighbor-order-independent and the farthest-node tiebreak (max distance,
-/// then max node id) is reproduced exactly.
+/// Two-sweep diameter lower bound over a CSR adjacency: BFS from `start`,
+/// then BFS from the farthest node found (ties to the larger id). Exact on
+/// trees, a good estimate in general.
 pub fn diameter_two_sweep_csr(csr: &crate::csr::CsrAdjacency, start: NodeId) -> u32 {
     let d1 = crate::traversal::bfs_distances_csr(csr, start);
     let far = d1
@@ -520,8 +503,9 @@ mod tests {
         let g = Graph::from_edges(7, (0..6u32).map(|i| (i, i + 1)));
         assert_eq!(diameter_exact(&g), Some(6));
         // two-sweep is exact on trees, from any start
+        let csr = crate::csr::CsrAdjacency::from_graph(&g);
         for v in g.nodes() {
-            assert_eq!(diameter_two_sweep(&g, v), 6);
+            assert_eq!(diameter_two_sweep_csr(&csr, v), 6);
         }
     }
 

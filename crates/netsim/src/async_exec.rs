@@ -388,12 +388,6 @@ impl AsyncNetwork {
         &self.adjacency
     }
 
-    /// A clone of the `Arc` holding the adjacency, for sharing with other
-    /// executors, drivers, or verification passes.
-    pub fn adjacency_arc(&self) -> Arc<CsrAdjacency> {
-        Arc::clone(&self.adjacency)
-    }
-
     /// The message budget in force (protocol messages only; synchronizer
     /// control traffic is O(1) words by construction).
     pub fn budget(&self) -> MessageBudget {

@@ -22,7 +22,10 @@
 //! * randomness is deterministic: each node derives its own RNG from the
 //!   master seed, so runs are reproducible bit-for-bit.
 //!
-//! The [`sync`] module provides the runner; [`patterns`] provides reusable
+//! The [`sync`] module provides the runner, [`parallel`] and [`async_exec`]
+//! its worker-pool and event-driven counterparts, and [`executor`] the
+//! [`Executor`] value that picks one of the three for a construction
+//! driver; [`patterns`] provides reusable
 //! protocol building blocks used by the constructions in the paper
 //! (radius-bounded flooding, convergecast, pipelined aggregation).
 //!
@@ -47,6 +50,7 @@
 pub mod async_exec;
 pub mod budget;
 pub mod csr;
+pub mod executor;
 pub mod faults;
 pub mod metrics;
 pub mod parallel;
@@ -58,9 +62,10 @@ pub mod trace;
 pub use async_exec::{AsyncNetwork, Synchronizer};
 pub use budget::{BudgetViolation, MessageBudget};
 pub use csr::CsrAdjacency;
+pub use executor::{Executor, ExecutorNetwork};
 pub use faults::{FaultCounters, FaultPlan, MsgFate};
 pub use metrics::RunMetrics;
-pub use parallel::{run_parallel, ParallelNetwork, ParallelOutcome};
+pub use parallel::ParallelNetwork;
 pub use sync::{Ctx, MessageSize, Network, Protocol, RunError};
 pub use trace::{
     size_bucket, JsonLinesSink, NullSink, PhaseCost, RingBufferSink, TraceEvent, TraceSink,

@@ -327,26 +327,6 @@ impl Network {
         Network::from_csr(Arc::new(CsrAdjacency::from_graph(graph)), budget, seed)
     }
 
-    /// Like [`Network::new`], reusing an already-built adjacency (e.g. one
-    /// shared with a [`ParallelNetwork`](crate::parallel::ParallelNetwork)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `adjacency` was built for a different node count.
-    pub fn with_adjacency(
-        graph: &Graph,
-        adjacency: CsrAdjacency,
-        budget: MessageBudget,
-        seed: u64,
-    ) -> Self {
-        assert_eq!(
-            adjacency.node_count(),
-            graph.node_count(),
-            "adjacency built for a different graph"
-        );
-        Network::from_csr(Arc::new(adjacency), budget, seed)
-    }
-
     /// A network straight over a shared CSR adjacency — the zero-`Graph`
     /// construction path. Runs are byte-identical (states, metrics,
     /// traces) to a [`Network::new`] over the equivalent graph.
@@ -369,11 +349,6 @@ impl Network {
         self
     }
 
-    /// The fault schedule in force, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
     /// The message budget in force.
     pub fn budget(&self) -> MessageBudget {
         self.budget
@@ -387,12 +362,6 @@ impl Network {
     /// The shared sorted adjacency.
     pub fn adjacency(&self) -> &CsrAdjacency {
         &self.adjacency
-    }
-
-    /// A clone of the `Arc` holding the adjacency, for sharing with other
-    /// executors, drivers, or verification passes.
-    pub fn adjacency_arc(&self) -> Arc<CsrAdjacency> {
-        Arc::clone(&self.adjacency)
     }
 
     /// Runs `factory`-created protocols to quiescence, sequentially.
@@ -1036,7 +1005,7 @@ mod tests {
     fn shared_adjacency_constructor() {
         let g = generators::cycle(6);
         let csr = CsrAdjacency::from_graph(&g);
-        let mut net = Network::with_adjacency(&g, csr.clone(), MessageBudget::CONGEST, 1);
+        let mut net = Network::from_csr(Arc::new(csr.clone()), MessageBudget::CONGEST, 1);
         let states = net
             .run(
                 |_, _| HelloOnce {

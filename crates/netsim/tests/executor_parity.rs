@@ -196,23 +196,18 @@ fn executors_agree_on_min_id_broadcast() {
         .run(|v, _| MinIdBroadcast::new(sources(v), 50), 256)
         .unwrap();
     for threads in [1usize, 2, 4, 8] {
-        let par = spanner_netsim::parallel::run_parallel(
-            &g,
-            MessageBudget::Words(2),
-            12,
-            |v, _| MinIdBroadcast::new(sources(v), 50),
-            256,
-            threads,
-        )
-        .unwrap();
+        let mut par_net = ParallelNetwork::new(&g, MessageBudget::Words(2), 12, threads);
+        let par = par_net
+            .run(|v, _| MinIdBroadcast::new(sources(v), 50), 256)
+            .unwrap();
         for v in g.nodes() {
             assert_eq!(
                 seq_states[v.index()].nearest(),
-                par.states[v.index()].nearest(),
+                par[v.index()].nearest(),
                 "node {v}, {threads} threads"
             );
         }
-        assert_eq!(seq.metrics(), par.metrics, "{threads} threads");
+        assert_eq!(seq.metrics(), par_net.metrics(), "{threads} threads");
     }
 }
 

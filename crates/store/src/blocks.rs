@@ -93,7 +93,9 @@ pub fn decode_blocks(bytes: &[u8], generation: u64) -> Result<Vec<u8>, StoreErro
         });
     }
     let blocks = (length as usize).div_ceil(BLOCK_SIZE);
-    let mut payload = Vec::with_capacity(length as usize);
+    // Bounded by the bytes left: a forged header length fails as
+    // truncated below instead of reserving memory up front.
+    let mut payload = Vec::with_capacity((length as usize).min(r.remaining()));
     for index in 0..blocks {
         let mut br = Reader::new(
             r.take(8 + BLOCK_SIZE).map_err(|_| StoreError::Truncated {

@@ -49,6 +49,25 @@ impl<'a> Reader<'a> {
         self.at
     }
 
+    /// `count` little-endian `u32`s, taken in one step: a count the
+    /// remaining bytes cannot back fails as truncated before any memory is
+    /// reserved for it.
+    pub(crate) fn u32s(
+        &mut self,
+        count: usize,
+    ) -> Result<impl Iterator<Item = u32> + 'a, StoreError> {
+        let len = count
+            .checked_mul(4)
+            .ok_or(StoreError::Truncated { what: self.what })?;
+        let words = self.take(len)?.chunks_exact(4);
+        Ok(words.map(|w| u32::from_le_bytes(w.try_into().unwrap())))
+    }
+
+    /// Bytes not yet consumed.
+    pub(crate) fn remaining(&self) -> usize {
+        self.bytes.len() - self.at
+    }
+
     /// Fails unless the cursor consumed the slice exactly.
     pub(crate) fn finish(self) -> Result<(), StoreError> {
         if self.at == self.bytes.len() {

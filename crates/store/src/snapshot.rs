@@ -386,15 +386,10 @@ fn decode_payload(bytes: &[u8]) -> Result<DecodedPayload, StoreError> {
             detail: format!("declared sizes n = {n}, half-edges = {half} exceed the id space"),
         });
     }
-    let (n, half) = (n as usize, half as usize);
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..n + 1 {
-        offsets.push(r.u32()?);
-    }
-    let mut targets = Vec::with_capacity(half);
-    for _ in 0..half {
-        targets.push(NodeId(r.u32()?));
-    }
+    // Arrays are taken whole, so a checksum-valid payload declaring a
+    // huge size fails as truncated instead of reserving memory for it.
+    let offsets: Vec<u32> = r.u32s(n as usize + 1)?.collect();
+    let targets: Vec<NodeId> = r.u32s(half as usize)?.map(NodeId).collect();
     let csr = CsrAdjacency::try_from_parts(offsets, targets).map_err(|e| StoreError::Corrupt {
         detail: e.to_string(),
     })?;
@@ -407,11 +402,10 @@ fn decode_payload(bytes: &[u8]) -> Result<DecodedPayload, StoreError> {
             ),
         });
     }
+    let mut words = r.u32s(2 * spanner_len as usize)?;
     let mut spanner = Vec::with_capacity(spanner_len as usize);
     let mut prev: Option<(u32, u32)> = None;
-    for _ in 0..spanner_len {
-        let u = r.u32()?;
-        let v = r.u32()?;
+    while let (Some(u), Some(v)) = (words.next(), words.next()) {
         if u >= v || prev.is_some_and(|p| p >= (u, v)) {
             return Err(StoreError::Corrupt {
                 detail: format!("spanner pair {u}-{v} breaks canonical ascending order"),

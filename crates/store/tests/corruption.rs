@@ -14,8 +14,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use spanner_graph::generators;
+use spanner_store::blocks::{encode_blocks, HEADER_SALT};
 use spanner_store::checksum::{checksum, salted_pick};
-use spanner_store::manifest::{DATA_SALT, MANIFEST_LEN, MANIFEST_SALT};
+use spanner_store::manifest::{Manifest, DATA_SALT, MANIFEST_LEN, MANIFEST_SALT};
 use spanner_store::wal::RECORD_LEN;
 use spanner_store::{scratch_dir, DynamicStore, SnapshotMeta, Store, StoreError};
 
@@ -276,6 +277,54 @@ fn version_bumps_with_valid_checksums_are_version_errors() {
             }
         ),
         "unexpected {err}"
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Replaces generation 1's data file with `data` and recommits the
+/// manifest to it, so every checksum the store verifies holds.
+fn commit_forged_data(dir: &Path, data: &[u8]) {
+    fs::write(dir.join("blocks-1.dat"), data).expect("write forged data");
+    let manifest = Manifest {
+        generation: 1,
+        data_len: data.len() as u64,
+        data_sum: checksum(DATA_SALT ^ 1, data),
+    };
+    fs::write(dir.join("MANIFEST"), manifest.encode()).expect("write forged manifest");
+}
+
+/// Header-declared sizes must not drive allocations: a checksum-valid
+/// payload declaring n = 2^32 - 2 nodes (and a block header declaring a
+/// 1 TiB payload) is rejected with a typed error before any memory is
+/// reserved for it.
+#[test]
+fn forged_sizes_are_typed_errors_not_allocations() {
+    let dir = fixture("cor-forged-n");
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&(u64::from(u32::MAX) - 1).to_le_bytes());
+    payload.extend_from_slice(&0u64.to_le_bytes());
+    commit_forged_data(&dir, &encode_blocks(&payload, 1));
+    let err = assert_fails_closed(&dir, "forged node count");
+    assert!(
+        matches!(
+            err,
+            StoreError::Truncated { .. } | StoreError::Corrupt { .. }
+        ),
+        "forged node count: unexpected {err}"
+    );
+
+    let mut data = encode_blocks(&payload, 1);
+    data[16..24].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    let headsum = checksum(HEADER_SALT ^ 1, &data[..24]);
+    data[24..32].copy_from_slice(&headsum.to_le_bytes());
+    commit_forged_data(&dir, &data);
+    let err = assert_fails_closed(&dir, "forged payload length");
+    assert!(
+        matches!(
+            err,
+            StoreError::Truncated { .. } | StoreError::Corrupt { .. }
+        ),
+        "forged payload length: unexpected {err}"
     );
     fs::remove_dir_all(&dir).ok();
 }

@@ -12,14 +12,18 @@
 //! the delay seed perturbs every link latency in the simulation, yet the
 //! built spanner must never change.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use ultrasparse_spanners::baselines::baswana_sen::{self, BaswanaSenParams};
 use ultrasparse_spanners::core::fibonacci::{self, FibonacciParams};
 use ultrasparse_spanners::core::skeleton::{self, SkeletonParams};
 use ultrasparse_spanners::core::Spanner;
-use ultrasparse_spanners::graph::{generators, verify_stretch_exact, Graph, StretchBound};
-use ultrasparse_spanners::netsim::{FaultPlan, RunMetrics, Synchronizer};
+use ultrasparse_spanners::graph::{
+    generators, verify_stretch_exact, CsrAdjacency, Graph, StretchBound,
+};
+use ultrasparse_spanners::netsim::{Executor, FaultPlan, NullSink, RunMetrics, Synchronizer};
 
 /// Strategy: a small connected random graph, n ≤ 64 (pair-exact
 /// verification is O(n·m) per construction) — the same distribution
@@ -120,9 +124,11 @@ proptest! {
         // The skeleton variant synchronizes over a separately built
         // skeleton spanner (spanning + connected on these graphs).
         let skel = skeleton::build_sequential(&g, &SkeletonParams::default(), seed ^ 0x51);
-        for sync in variants(&g, &skel) {
-            let s = fibonacci::distributed::build_distributed_async(
-                &g, &params, seed, &delays, sync,
+        let csr = Arc::new(CsrAdjacency::from_graph(&g));
+        for synchronizer in variants(&g, &skel) {
+            let exec = Executor::Async { delays: delays.clone(), synchronizer };
+            let s = fibonacci::distributed::build_distributed_on(
+                &csr, &params, seed, &exec, &mut NullSink,
             ).expect("async build");
             assert_pair_exact("fibonacci", &reference, &s);
             prop_assert!(s.is_spanning(&g));
@@ -145,8 +151,10 @@ proptest! {
             .expect("round-synchronous build");
         let delays = delay_plan(dseed);
         let skel = skeleton::build_sequential(&g, &SkeletonParams::default(), seed ^ 0x52);
-        for sync in variants(&g, &skel) {
-            let s = baswana_sen::build_distributed_async(&g, &params, seed, &delays, sync)
+        let csr = Arc::new(CsrAdjacency::from_graph(&g));
+        for synchronizer in variants(&g, &skel) {
+            let exec = Executor::Async { delays: delays.clone(), synchronizer };
+            let s = baswana_sen::build_distributed_on(&csr, &params, seed, &exec, &mut NullSink)
                 .expect("async build");
             assert_pair_exact("baswana_sen", &reference, &s);
             let t = (2 * k - 1) as f64;
