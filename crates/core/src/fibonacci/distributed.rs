@@ -35,6 +35,7 @@
 //! implementation (both resolve ties by minimum id); the tests check that
 //! equality, which is the strongest cross-validation we have.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -525,6 +526,35 @@ impl Protocol for FibNode {
     fn done(&self) -> bool {
         self.finished
     }
+
+    /// Between stage boundaries a node only reacts to mail, except while
+    /// tokens are queued: those drain one batch per hop per round. The
+    /// stage windows tile the timetable (each ends where the next begins),
+    /// so their start rounds are every boundary; a new level's first phase
+    /// is declared one round after its window opens, because the stage
+    /// pointer advances in that round. Ball ids need no wake: a node
+    /// forwards or drops what it learned in the round it learned it.
+    fn next_wake(&self, round: u32) -> Option<u32> {
+        if self.finished {
+            return None;
+        }
+        if !self.token_queue.is_empty() {
+            return Some(round + 1);
+        }
+        let w = &self.cfg.levels[self.stage];
+        [
+            w.parent.0,
+            w.parent.0 + 1,
+            w.trunc.0,
+            w.ball.0,
+            w.cease.0,
+            w.fail.0,
+            w.tokens.0,
+            w.tokens.1 + 1,
+        ]
+        .into_iter()
+        .find(|&at| at > round)
+    }
 }
 
 /// The message budget of Theorem 8: `⌈n^{1/t}⌉ + 2` words for `t ≥ 1`, or
@@ -566,9 +596,32 @@ pub fn build_distributed_on(
     executor: &Executor,
     sink: &mut dyn TraceSink,
 ) -> Result<Spanner, RunError> {
+    build_distributed_wrapped(csr, params, seed, executor, sink, |_, node| node)
+}
+
+/// [`build_distributed_on`] with every node's protocol passed through
+/// `wrap` before the run. Exists so tests can force or perturb the
+/// [`Protocol::next_wake`] hints and compare the runs; the spanner is
+/// collected from the wrapped nodes through [`Borrow`].
+///
+/// # Errors
+///
+/// Propagates simulator failures, as [`build_distributed_on`] does.
+#[doc(hidden)]
+pub fn build_distributed_wrapped<W>(
+    csr: &Arc<CsrAdjacency>,
+    params: &FibonacciParams,
+    seed: u64,
+    executor: &Executor,
+    sink: &mut dyn TraceSink,
+    wrap: impl Fn(NodeId, FibNode) -> W,
+) -> Result<Spanner, RunError>
+where
+    W: Protocol<Msg = FibMsg> + Send + Borrow<FibNode>,
+{
     let budget = theorem8_budget(csr.node_count(), params.t);
     let mut net = executor.network(Arc::clone(csr), budget, seed);
-    run(&mut net, params, seed, sink)
+    run(&mut net, params, seed, sink, wrap)
 }
 
 /// [`build_distributed_on`] for a [`Graph`] on the sequential executor, untraced.
@@ -641,7 +694,7 @@ pub fn build_distributed_faulted(
     crate::faults::build_certified(
         g,
         net,
-        |net| run(net, params, seed, &mut NullSink),
+        |net| run(net, params, seed, &mut NullSink, |_, node| node),
         |s| match s.check_envelope_exact(g, |d| {
             crate::fibonacci::analysis::distortion_envelope(order, ell, d as u64)
         }) {
@@ -653,13 +706,17 @@ pub fn build_distributed_faulted(
 
 /// The construction: samples the level hierarchy from `(n, params, seed)`,
 /// derives the timetable from it and the network's budget, runs it on
-/// `net` and collects the spanner.
-fn run(
+/// `net` (each node through `wrap`) and collects the spanner.
+fn run<W>(
     net: &mut ExecutorNetwork,
     params: &FibonacciParams,
     seed: u64,
     sink: &mut dyn TraceSink,
-) -> Result<Spanner, RunError> {
+    wrap: impl Fn(NodeId, FibNode) -> W,
+) -> Result<Spanner, RunError>
+where
+    W: Protocol<Msg = FibMsg> + Send + Borrow<FibNode>,
+{
     let csr = net.adjacency();
     let n = csr.node_count();
     if n == 0 {
@@ -669,11 +726,13 @@ fn run(
     let cfg = Arc::new(FibConfig::build(params, n, net.budget(), diameter_cap(csr)));
     let max_rounds = cfg.total_rounds + 8;
     let states = net.run_traced(
-        |v, _| FibNode::new(Arc::clone(&cfg), levels[v.index()]),
+        |v, _| wrap(v, FibNode::new(Arc::clone(&cfg), levels[v.index()])),
         max_rounds,
         sink,
     )?;
-    let pairs = states.iter().flat_map(|st| st.selected.iter().copied());
+    let pairs = states
+        .iter()
+        .flat_map(|st| st.borrow().selected.iter().copied());
     Ok(Spanner::from_selections(
         net.adjacency(),
         pairs,

@@ -41,6 +41,7 @@
 //! round count by a constant factor only — the measured rounds still scale
 //! as O(ε⁻¹ 2^{log* n} log_D n) (experiment E3).
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -572,6 +573,35 @@ impl Protocol for SkelNode {
     fn done(&self) -> bool {
         self.finished
     }
+
+    /// Between its timetable milestones a node only reacts to mail. Every
+    /// node wakes for the exchange (which opens the call's phase span) and
+    /// the end of the call (which advances it to the next one); a live
+    /// center also for its decision, and a dying or contracting node at
+    /// the end of the kill window. A dying node with kill entries still to
+    /// send streams one batch per round. (The candidate round needs no
+    /// wake: a live node hears its live neighbors' exchange in it, and
+    /// without such mail it has no candidate.)
+    fn next_wake(&self, round: u32) -> Option<u32> {
+        if self.finished {
+            return None;
+        }
+        if self.dying && !self.aborted && !self.kill_pending.is_empty() {
+            return Some(round + 1);
+        }
+        let w = &self.cfg.windows[self.call];
+        let decides = self.alive && self.p1_parent.is_none();
+        let kill_end = self.dying || (self.alive && w.contract_after);
+        [
+            (w.exchange, true),
+            (w.decide, decides),
+            (w.kill_end, kill_end),
+            (w.end, true),
+        ]
+        .into_iter()
+        .find(|&(at, needed)| needed && at > round)
+        .map(|(at, _)| at)
+    }
 }
 
 /// The message budget of Theorem 2 with the constant made explicit:
@@ -610,9 +640,32 @@ pub fn build_distributed_on(
     executor: &Executor,
     sink: &mut dyn TraceSink,
 ) -> Result<Spanner, RunError> {
+    build_distributed_wrapped(csr, params, seed, executor, sink, |_, node| node)
+}
+
+/// [`build_distributed_on`] with every node's protocol passed through
+/// `wrap` before the run. Exists so tests can force or perturb the
+/// [`Protocol::next_wake`] hints and compare the runs; the spanner is
+/// collected from the wrapped nodes through [`Borrow`].
+///
+/// # Errors
+///
+/// Propagates simulator failures, as [`build_distributed_on`] does.
+#[doc(hidden)]
+pub fn build_distributed_wrapped<W>(
+    csr: &Arc<CsrAdjacency>,
+    params: &SkeletonParams,
+    seed: u64,
+    executor: &Executor,
+    sink: &mut dyn TraceSink,
+    wrap: impl Fn(NodeId, SkelNode) -> W,
+) -> Result<Spanner, RunError>
+where
+    W: Protocol<Msg = SkelMsg> + Send + Borrow<SkelNode>,
+{
     let budget = theorem2_budget(csr.node_count(), params.eps);
     let mut net = executor.network(Arc::clone(csr), budget, seed);
-    run(&mut net, params, seed, sink)
+    run(&mut net, params, seed, sink, wrap)
 }
 
 /// [`build_distributed_on`] for a [`Graph`] on the sequential executor, untraced.
@@ -722,7 +775,7 @@ pub fn build_distributed_faulted(
     crate::faults::build_certified(
         g,
         net,
-        |net| run(net, params, seed, &mut NullSink),
+        |net| run(net, params, seed, &mut NullSink, |_, node| node),
         |s| {
             spanner_graph::verify_stretch_exact(
                 g,
@@ -735,13 +788,18 @@ pub fn build_distributed_faulted(
 }
 
 /// The construction: derives the timetable from `(n, params, seed)` and
-/// the network's budget, runs it on `net` and collects the spanner.
-fn run(
+/// the network's budget, runs it on `net` (each node through `wrap`) and
+/// collects the spanner.
+fn run<W>(
     net: &mut ExecutorNetwork,
     params: &SkeletonParams,
     seed: u64,
     sink: &mut dyn TraceSink,
-) -> Result<Spanner, RunError> {
+    wrap: impl Fn(NodeId, SkelNode) -> W,
+) -> Result<Spanner, RunError>
+where
+    W: Protocol<Msg = SkelMsg> + Send + Borrow<SkelNode>,
+{
     let n = net.adjacency().node_count();
     if n == 0 {
         return Ok(Spanner::from_edges(EdgeSet::with_universe(0)));
@@ -750,8 +808,14 @@ fn run(
     let words = net.budget().limit().expect("theorem2 budget is bounded");
     let cfg = Arc::new(SkelConfig::build(&schedule, n, seed, words));
     let max_rounds = cfg.total_rounds + 8;
-    let states = net.run_traced(|v, _| SkelNode::new(Arc::clone(&cfg), v), max_rounds, sink)?;
-    let pairs = states.iter().flat_map(|st| st.selected.iter().copied());
+    let states = net.run_traced(
+        |v, _| wrap(v, SkelNode::new(Arc::clone(&cfg), v)),
+        max_rounds,
+        sink,
+    )?;
+    let pairs = states
+        .iter()
+        .flat_map(|st| st.borrow().selected.iter().copied());
     Ok(Spanner::from_selections(
         net.adjacency(),
         pairs,

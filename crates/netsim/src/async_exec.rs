@@ -581,7 +581,13 @@ impl AsyncNetwork {
                 tracer,
                 traced,
             );
-            scatter(&mut staging, &mut flat, &mut offsets, &mut cursor);
+            scatter(
+                &mut staging,
+                &mut flat,
+                &mut offsets,
+                &mut cursor,
+                |_, _| {},
+            );
             for (v, t) in exec_time.iter_mut().enumerate() {
                 *t = sync.start[v].expect("synchronizer delivered a start time");
                 horizon = horizon.max(*t);

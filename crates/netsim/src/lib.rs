@@ -47,6 +47,7 @@
 
 #![warn(missing_docs)]
 
+mod active;
 pub mod async_exec;
 pub mod budget;
 pub mod csr;

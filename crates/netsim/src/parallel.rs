@@ -26,6 +26,13 @@
 //! rounds, so the steady-state loop performs no per-round heap allocation —
 //! mirroring the sequential executor's arenas.
 //!
+//! Each chunk carries its slice of the active set (see the sequential
+//! executor): a worker steps only its chunk's due nodes — mail receivers,
+//! which the coordinator marks while it builds the chunk's inbox offsets,
+//! and nodes whose [`Protocol::next_wake`] hint is due — in ascending order,
+//! and the coordinator routes only the nodes that stepped. The chunk's
+//! count of nodes not done replaces a scan of every node's `done` flag.
+//!
 //! Useful for big-n experiment sweeps; the sequential executor remains the
 //! reference implementation.
 
@@ -37,6 +44,7 @@ use rand::rngs::SmallRng;
 use spanner_graph::pool::RoundGate;
 use spanner_graph::{Graph, NodeId};
 
+use crate::active::ActiveSet;
 use crate::budget::{BudgetViolation, MessageBudget};
 use crate::csr::CsrAdjacency;
 use crate::faults::{FaultPlan, FaultState};
@@ -57,20 +65,22 @@ struct ChunkSlot<P: Protocol> {
     /// by the coordinator's counting scatter each round.
     inbox_flat: Vec<(NodeId, P::Msg)>,
     inbox_off: Vec<u32>,
-    /// Flat outbox arena: workers append in node order and record node
-    /// `i`'s boundary in `out_off[i + 1]`, so the coordinator can drain the
-    /// arena front-to-back while attributing every message to its sender.
+    /// Flat outbox arena: workers append in node order and record the end
+    /// of node `i`'s sends in `out_end[i]` (written only for nodes that
+    /// stepped), so the coordinator can drain the arena front-to-back while
+    /// attributing every message to its sender.
     out_flat: Vec<(NodeId, P::Msg)>,
-    out_off: Vec<u32>,
+    out_end: Vec<u32>,
     /// Duplicate-send stamps (indexed by *target* node, so length n).
     seen: Vec<u64>,
     stamp: u64,
     /// Per-node phase declarations buffered during the round; the
     /// coordinator drains them in global sender order while routing.
     phases: Vec<Vec<PhaseAction>>,
-    /// Whether every node in this chunk reported [`Protocol::done`] after
-    /// the most recent round.
-    done: bool,
+    /// The chunk's slice of the active set, over local indices: the worker
+    /// steps its due nodes, the coordinator routes their sends and marks
+    /// the chunk's mail receivers for the next round.
+    active: ActiveSet,
 }
 
 /// A synchronous network executed by a pool of worker threads.
@@ -274,11 +284,11 @@ impl ParallelNetwork {
                     inbox_flat: Vec::new(),
                     inbox_off: vec![0u32; hi - lo + 1],
                     out_flat: Vec::new(),
-                    out_off: vec![0u32; hi - lo + 1],
+                    out_end: vec![0u32; hi - lo],
                     seen: vec![0u64; n],
                     stamp: 0,
                     phases: (lo..hi).map(|_| Vec::new()).collect(),
-                    done: false,
+                    active: ActiveSet::new(hi - lo, max_rounds),
                 })
             })
             .collect();
@@ -304,15 +314,18 @@ impl ParallelNetwork {
                             inbox_flat,
                             inbox_off,
                             out_flat,
-                            out_off,
+                            out_end,
                             seen,
                             stamp,
                             phases,
-                            done,
+                            active,
                         } = &mut *guard;
                         out_flat.clear();
-                        out_off[0] = 0;
-                        for i in 0..nodes.len() {
+                        if round > 0 {
+                            active.begin_round(round);
+                        }
+                        let mut due = active.cursor();
+                        while let Some(i) = active.next_due(&mut due) {
                             let v = NodeId((base + i) as u32);
                             // Crashed or stuttering nodes execute nothing this
                             // round; an empty outbox range keeps the
@@ -323,7 +336,8 @@ impl ParallelNetwork {
                             // round), identical on every executor and thread.
                             if FAULTS && plan.skips(v, round) {
                                 phases[i].clear();
-                                out_off[i + 1] = out_flat.len() as u32;
+                                out_end[i] = out_flat.len() as u32;
+                                active.settle::<P, FAULTS>(i, v, round, &nodes[i], plan);
                                 continue;
                             }
                             // Sorted for free: the coordinator's counting
@@ -351,11 +365,9 @@ impl ParallelNetwork {
                             } else {
                                 nodes[i].round(&mut ctx, inbox);
                             }
-                            out_off[i + 1] = out_flat.len() as u32;
+                            out_end[i] = out_flat.len() as u32;
+                            active.settle::<P, FAULTS>(i, v, round, &nodes[i], plan);
                         }
-                        *done = nodes.iter().enumerate().all(|(i, p)| {
-                            p.done() || (FAULTS && plan.crashed(NodeId((base + i) as u32), round))
-                        });
                         drop(guard);
                         gate.worker_end();
                     }
@@ -391,16 +403,20 @@ impl ParallelNetwork {
                     .collect();
                 for (ci, slot) in guards.iter_mut().enumerate() {
                     let g = &mut **slot;
-                    let nlen = g.nodes.len();
                     let mut sends = g.out_flat.drain(..);
-                    for i in 0..nlen {
+                    let mut start = 0u32;
+                    // Only the nodes that stepped this round can have
+                    // phase declarations or sends.
+                    let mut stepped = g.active.cursor();
+                    while let Some(i) = g.active.next_due(&mut stepped) {
                         let sender = NodeId((ci * chunk + i) as u32);
                         // Phase declarations first, then the node's
                         // messages — the order the sequential flush uses.
                         if TRACED {
                             tracer.apply_actions(&mut g.phases[i]);
                         }
-                        let cnt = (g.out_off[i + 1] - g.out_off[i]) as usize;
+                        let cnt = (g.out_end[i] - start) as usize;
+                        start = g.out_end[i];
                         if TRACED {
                             tracer.on_outbox(cnt);
                         }
@@ -462,7 +478,8 @@ impl ParallelNetwork {
                 } else {
                     // Stable counting scatter of the staged sends into the
                     // chunk inbox arenas (see `sync::scatter` for the
-                    // single-arena version of the same idea).
+                    // single-arena version of the same idea); the prefix
+                    // pass also marks each chunk's mail receivers due.
                     in_flight = staging.len() as u64;
                     counts.fill(0);
                     for &(to, _, _) in staging.iter() {
@@ -475,6 +492,7 @@ impl ParallelNetwork {
                         for i in 0..g.nodes.len() {
                             g.inbox_off[i + 1] = g.inbox_off[i] + counts[lo + i];
                             cursor[lo + i] = g.inbox_off[i];
+                            g.active.mark_mail(i, counts[lo + i] != 0);
                         }
                         let total = *g.inbox_off.last().expect("offset table") as usize;
                         g.inbox_flat.clear();
@@ -505,7 +523,7 @@ impl ParallelNetwork {
                         }
                     }
                 }
-                let all_done = guards.iter().all(|g| g.done);
+                let all_done = guards.iter().all(|g| g.active.quiet());
                 Ok((in_flight, all_done))
             };
 
@@ -655,6 +673,49 @@ mod tests {
             .run(|v, _| MinIdBroadcast::new(v == NodeId(0), 10), 32)
             .unwrap();
         assert!(states.iter().all(|s| s.nearest().is_some()));
+    }
+
+    /// The wake contract holds on the worker pool exactly as on
+    /// `Network`: mail-only nodes, calendar wakes, a sleeper that never
+    /// finishes, and wakes past the round cap.
+    #[test]
+    fn wake_hints_match_sequential() {
+        use crate::sync::tests::{Alarm, MailOnly, Relay, Sleeper};
+        let relay = |v: NodeId| {
+            MailOnly(Relay {
+                has_token: v.0 == 0,
+                delivered: false,
+            })
+        };
+        let path = generators::path(9);
+        let mut seq = Network::new(&path, MessageBudget::CONGEST, 1);
+        seq.run(|v, _| relay(v), 100).unwrap();
+        let alarm_path = generators::path(130);
+        for threads in 1..=3 {
+            let mut par = ParallelNetwork::new(&path, MessageBudget::CONGEST, 1, threads);
+            let states = par.run(|v, _| relay(v), 100).unwrap();
+            assert!(states.iter().skip(1).all(|s| s.0.delivered));
+            assert_eq!(par.metrics(), seq.metrics(), "{threads} threads");
+
+            let mut par = ParallelNetwork::new(&alarm_path, MessageBudget::CONGEST, 1, threads);
+            let states = par.run(|v, _| Alarm::new(v, 4), 10).unwrap();
+            assert_eq!(states[0].stepped, vec![4]);
+            assert_eq!(states[1].stepped, vec![5]);
+            assert!(states[2..].iter().all(|s| s.stepped.is_empty()));
+            assert_eq!(par.metrics().rounds, 5);
+
+            for at in [11, u32::MAX] {
+                let mut par = ParallelNetwork::new(&alarm_path, MessageBudget::CONGEST, 1, threads);
+                let err = par.run(|v, _| Alarm::new(v, at), 10).unwrap_err();
+                assert_eq!(err, RunError::RoundLimit { max_rounds: 10 });
+                assert_eq!(par.metrics().messages, 0);
+            }
+
+            let mut par = ParallelNetwork::new(&path, MessageBudget::CONGEST, 1, threads);
+            let err = par.run(|_, _| Sleeper, 7).unwrap_err();
+            assert_eq!(err, RunError::RoundLimit { max_rounds: 7 });
+            assert_eq!(par.metrics().rounds, 7);
+        }
     }
 
     /// A failed parallel run must leave the same partial metrics behind as

@@ -14,11 +14,21 @@
 //! # Hot-path design
 //!
 //! The round loop performs no per-round heap allocation in steady state:
-//! inboxes live in two arenas (`cur`/`next`) of per-node `Vec`s that are
-//! cleared and swapped each round, keeping their capacity; the outbox is one
-//! reused `Vec`; duplicate-send detection is a per-node stamp array
-//! ([`Ctx::send`] is O(log deg), [`Ctx::broadcast`] is O(deg)). Adjacency is
-//! a flat [`CsrAdjacency`] shared with the parallel executor.
+//! sends are staged in one reused buffer and counting-scattered into a flat
+//! inbox arena with per-receiver offsets, both keeping their capacity; the
+//! outbox is one reused `Vec`; duplicate-send detection is a per-node stamp
+//! array ([`Ctx::send`] is O(log deg), [`Ctx::broadcast`] is O(deg)).
+//! Adjacency is a flat [`CsrAdjacency`] shared with the parallel executor.
+//!
+//! Only the *active set* steps: the nodes with mail, which the scatter's
+//! prefix-sum pass marks in a bitset, and the nodes whose
+//! [`Protocol::next_wake`] hint named this round (next-round wakes in the
+//! same bitset, later ones in a calendar bucketed by round). The bitset is
+//! walked in ascending id order, so sends are staged in exactly the order
+//! of a loop over every node. Each node's `done` bit is refreshed when it
+//! steps, and a running count of nodes not done replaces a per-round scan
+//! of all n. A protocol that keeps the default hint is stepped every round,
+//! as before. Under a [`FaultPlan`] every node stays due every round.
 
 use std::sync::Arc;
 
@@ -26,6 +36,7 @@ use rand::rngs::SmallRng;
 
 use spanner_graph::{Graph, NodeId};
 
+use crate::active::ActiveSet;
 use crate::budget::{BudgetViolation, MessageBudget};
 use crate::csr::CsrAdjacency;
 use crate::faults::{FaultPlan, FaultState};
@@ -93,6 +104,28 @@ pub trait Protocol {
     /// and all nodes are `done`. Defaults to `true` (pure quiescence).
     fn done(&self) -> bool {
         true
+    }
+
+    /// The earliest round after `round` in which this node must step even
+    /// if its inbox is empty; `None` means "only when mail arrives".
+    ///
+    /// The synchronous executors ([`Network`] and
+    /// [`ParallelNetwork`](crate::ParallelNetwork), unfaulted) call this
+    /// after every step and skip the node until it has mail or its wake
+    /// round comes. The default, `round + 1`, steps the node every round.
+    ///
+    /// A hint is a promise that stepping the node with an empty inbox in
+    /// any round before the wake would be a **no-op**: no state change, no
+    /// RNG draw, no send, and no phase action ([`Ctx::enter_phase`] or
+    /// [`Ctx::exit_phase`]) — re-declaring the phase already open is the
+    /// one allowed exception, since the executors deduplicate it. Waking
+    /// early is therefore always safe; waking late changes the run.
+    /// [`done`](Protocol::done) must only change when the node steps. Wakes
+    /// past the run's round cap are dropped. Runs under a
+    /// [`FaultPlan`] and on the asynchronous executor step every node
+    /// every round and never consult the hint.
+    fn next_wake(&self, round: u32) -> Option<u32> {
+        Some(round + 1)
     }
 }
 
@@ -471,6 +504,8 @@ impl Network {
         let mut seen = vec![0u64; n];
         let mut stamp = 0u64;
         let mut phase_actions: Vec<PhaseAction> = Vec::new();
+        // Who steps each round, and how many nodes are not done.
+        let mut active = ActiveSet::new(n, max_rounds);
 
         // Init phase (round 0).
         if TRACED {
@@ -482,6 +517,7 @@ impl Network {
         for v in 0..n {
             let node = NodeId(v as u32);
             if FAULTS && fstate.plan().crashed(node, 0) {
+                active.settle::<P, FAULTS>(v, node, 0, &nodes[v], fstate.plan());
                 continue;
             }
             outbox.clear();
@@ -512,6 +548,7 @@ impl Network {
                 &mut fstate,
                 tracer,
             )?;
+            active.settle::<P, FAULTS>(v, node, 0, &nodes[v], fstate.plan());
         }
         if TRACED {
             tracer.end_round();
@@ -523,18 +560,13 @@ impl Network {
         let mut round: u32 = 0;
         loop {
             // `staging` (or the fault engine) holds everything sent in the
-            // round just executed. Crashed nodes count as done: they will
-            // never act again.
-            let quiescent = if FAULTS {
-                fstate.in_flight() == 0
-                    && nodes
-                        .iter()
-                        .enumerate()
-                        .all(|(v, p)| p.done() || fstate.plan().crashed(NodeId(v as u32), round))
+            // round just executed.
+            let in_flight = if FAULTS {
+                fstate.in_flight() > 0
             } else {
-                staging.is_empty() && nodes.iter().all(Protocol::done)
+                !staging.is_empty()
             };
-            if quiescent {
+            if !in_flight && active.quiet() {
                 break;
             }
             if round >= max_rounds {
@@ -562,12 +594,21 @@ impl Network {
                     offsets[v + 1] = offsets[v] + fault_counts[v];
                 }
             } else {
-                scatter(&mut staging, &mut flat, &mut offsets, &mut cursor);
+                scatter(
+                    &mut staging,
+                    &mut flat,
+                    &mut offsets,
+                    &mut cursor,
+                    |v, mail| active.mark_mail(v, mail),
+                );
             }
+            active.begin_round(round);
 
-            for v in 0..n {
+            let mut due = active.cursor();
+            while let Some(v) = active.next_due(&mut due) {
                 let node = NodeId(v as u32);
                 if FAULTS && fstate.plan().skips(node, round) {
+                    active.settle::<P, FAULTS>(v, node, round, &nodes[v], fstate.plan());
                     continue;
                 }
                 let inbox: &[(NodeId, P::Msg)] = if FAULTS {
@@ -604,6 +645,7 @@ impl Network {
                     &mut fstate,
                     tracer,
                 )?;
+                active.settle::<P, FAULTS>(v, node, round, &nodes[v], fstate.plan());
             }
             if TRACED {
                 tracer.end_round();
@@ -662,7 +704,9 @@ impl Network {
 /// receiver into `flat`, leaving `offsets[v]..offsets[v+1]` as receiver
 /// `v`'s slice. A stable counting scatter: O(messages + n), and each slice
 /// stays in ascending sender order. Drains `staging`; both buffers retain
-/// their capacity for the next round.
+/// their capacity for the next round. The prefix-sum pass of the count
+/// calls `mark(v, has_mail)` for every receiver slot, which is how the
+/// active set learns who has mail without another pass.
 ///
 /// Message counts fit `u32`: a round delivers at most one message per
 /// directed edge, and [`CsrAdjacency`] already bounds half-edges to `u32`.
@@ -673,6 +717,7 @@ pub(crate) fn scatter<M>(
     flat: &mut Vec<(NodeId, M)>,
     offsets: &mut [u32],
     cursor: &mut [u32],
+    mut mark: impl FnMut(usize, bool),
 ) {
     let n = offsets.len() - 1;
     offsets.fill(0);
@@ -680,6 +725,7 @@ pub(crate) fn scatter<M>(
         offsets[to.index() + 1] += 1;
     }
     for v in 0..n {
+        mark(v, offsets[v + 1] != 0);
         offsets[v + 1] += offsets[v];
     }
     cursor.copy_from_slice(&offsets[..n]);
@@ -704,7 +750,7 @@ pub(crate) fn scatter<M>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use spanner_graph::generators;
 
@@ -748,9 +794,9 @@ mod tests {
     }
 
     /// Forwards a token along a path; used to test multi-round runs.
-    struct Relay {
-        has_token: bool,
-        delivered: bool,
+    pub(crate) struct Relay {
+        pub(crate) has_token: bool,
+        pub(crate) delivered: bool,
     }
 
     impl Protocol for Relay {
@@ -794,6 +840,128 @@ mod tests {
         assert!(states.iter().skip(1).all(|s| s.delivered));
         assert_eq!(net.metrics().rounds, 5);
         assert_eq!(net.metrics().messages, 5);
+    }
+
+    /// Runs the wrapped protocol but steps only on mail.
+    pub(crate) struct MailOnly<P>(pub(crate) P);
+
+    impl<P: Protocol> Protocol for MailOnly<P> {
+        type Msg = P::Msg;
+        fn init(&mut self, ctx: &mut Ctx<'_, P::Msg>) {
+            self.0.init(ctx);
+        }
+        fn round(&mut self, ctx: &mut Ctx<'_, P::Msg>, inbox: &[(NodeId, P::Msg)]) {
+            self.0.round(ctx, inbox);
+        }
+        fn done(&self) -> bool {
+            self.0.done()
+        }
+        fn next_wake(&self, _: u32) -> Option<u32> {
+            None
+        }
+    }
+
+    /// Node 0 sleeps until round `at`, then messages its neighbors; every
+    /// node records the rounds it stepped in.
+    #[derive(Debug)]
+    pub(crate) struct Alarm {
+        pub(crate) armed: bool,
+        pub(crate) at: u32,
+        pub(crate) stepped: Vec<u32>,
+    }
+
+    impl Alarm {
+        pub(crate) fn new(v: NodeId, at: u32) -> Self {
+            Alarm {
+                armed: v == NodeId(0),
+                at,
+                stepped: Vec::new(),
+            }
+        }
+    }
+
+    impl Protocol for Alarm {
+        type Msg = u64;
+        fn init(&mut self, _: &mut Ctx<'_, u64>) {}
+        fn round(&mut self, ctx: &mut Ctx<'_, u64>, _: &[(NodeId, u64)]) {
+            self.stepped.push(ctx.round());
+            if self.armed && ctx.round() == self.at {
+                self.armed = false;
+                ctx.broadcast(1);
+            }
+        }
+        fn done(&self) -> bool {
+            !self.armed
+        }
+        fn next_wake(&self, _: u32) -> Option<u32> {
+            self.armed.then_some(self.at)
+        }
+    }
+
+    /// Never done, never wakes on its own.
+    #[derive(Debug)]
+    pub(crate) struct Sleeper;
+
+    impl Protocol for Sleeper {
+        type Msg = u64;
+        fn init(&mut self, _: &mut Ctx<'_, u64>) {}
+        fn round(&mut self, _: &mut Ctx<'_, u64>, _: &[(NodeId, u64)]) {}
+        fn done(&self) -> bool {
+            false
+        }
+        fn next_wake(&self, _: u32) -> Option<u32> {
+            None
+        }
+    }
+
+    #[test]
+    fn mail_only_relay_matches_default_wake() {
+        let g = generators::path(9);
+        let relay = |v: NodeId| Relay {
+            has_token: v.0 == 0,
+            delivered: false,
+        };
+        let mut every = Network::new(&g, MessageBudget::CONGEST, 1);
+        let a = every.run(|v, _| relay(v), 100).unwrap();
+        let mut mail = Network::new(&g, MessageBudget::CONGEST, 1);
+        let b = mail.run(|v, _| MailOnly(relay(v)), 100).unwrap();
+        assert_eq!(every.metrics(), mail.metrics());
+        assert_eq!(mail.metrics().rounds, 8);
+        let a: Vec<bool> = a.iter().map(|s| s.delivered).collect();
+        let b: Vec<bool> = b.iter().map(|s| s.0.delivered).collect();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn sleeping_node_that_is_not_done_hits_the_round_limit() {
+        let g = generators::cycle(5);
+        let mut net = Network::new(&g, MessageBudget::CONGEST, 1);
+        let err = net.run(|_, _| Sleeper, 7).unwrap_err();
+        assert_eq!(err, RunError::RoundLimit { max_rounds: 7 });
+        assert_eq!(net.metrics().rounds, 7);
+    }
+
+    #[test]
+    fn calendar_wake_steps_only_the_sleeper_then_its_mail() {
+        let g = generators::path(3);
+        let mut net = Network::new(&g, MessageBudget::CONGEST, 1);
+        let states = net.run(|v, _| Alarm::new(v, 4), 10).unwrap();
+        assert_eq!(states[0].stepped, vec![4]);
+        assert_eq!(states[1].stepped, vec![5]);
+        assert!(states[2].stepped.is_empty());
+        assert_eq!(net.metrics().rounds, 5);
+        assert_eq!(net.metrics().messages, 1);
+    }
+
+    #[test]
+    fn wake_past_the_round_cap_is_dropped() {
+        let g = generators::path(3);
+        for at in [11, u32::MAX] {
+            let mut net = Network::new(&g, MessageBudget::CONGEST, 1);
+            let err = net.run(|v, _| Alarm::new(v, at), 10).unwrap_err();
+            assert_eq!(err, RunError::RoundLimit { max_rounds: 10 });
+            assert_eq!(net.metrics().messages, 0);
+        }
     }
 
     #[derive(Debug)]

@@ -38,4 +38,6 @@ pub mod server;
 pub mod workload;
 
 pub use protocol::{Command, GraphSpec, LoadRequest, WireError};
-pub use server::{serve_listener, QueryReq, ServeConfig, ServeStats, Server, Session};
+pub use server::{
+    serve_listener, QueryReq, ServeConfig, ServeStats, Server, Session, MAX_LINE_BYTES,
+};

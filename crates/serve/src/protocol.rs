@@ -185,6 +185,15 @@ impl WireError {
         }
     }
 
+    /// `LINE-TOO-LONG` — a request line (or batch sub-command) was longer
+    /// than `limit` bytes; it was read to its end and discarded.
+    pub fn line_too_long(limit: usize) -> Self {
+        WireError {
+            code: "LINE-TOO-LONG",
+            message: format!("request line exceeds {limit} bytes"),
+        }
+    }
+
     /// The error code (e.g. `PARSE`).
     pub fn code(&self) -> &'static str {
         self.code

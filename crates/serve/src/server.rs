@@ -22,7 +22,7 @@
 //! they are, and never the order cache/counter state evolves in.
 
 use std::collections::BTreeSet;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpListener;
 use std::path::Path;
 use std::sync::Mutex;
@@ -587,6 +587,49 @@ fn build_graph(spec: &GraphSpec) -> Result<Graph, WireError> {
     }
 }
 
+/// The longest request line a session reads, in bytes, the terminating
+/// `\n` excluded. Longer lines are answered with `ERR LINE-TOO-LONG`, so a
+/// client can never make the server buffer more than this per line.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// What [`read_line_bounded`] found.
+enum Line {
+    /// End of stream before any byte.
+    Eof,
+    /// A line of at most [`MAX_LINE_BYTES`] bytes, now in the buffer.
+    Text,
+    /// A longer line, consumed to its end and discarded.
+    TooLong,
+}
+
+/// Reads one `\n`-terminated line into `buf` (cleared first), holding at
+/// most [`MAX_LINE_BYTES`] bytes of it in memory. Invalid UTF-8 is an
+/// `InvalidData` error, as with [`BufRead::read_line`].
+fn read_line_bounded<R: BufRead>(input: &mut R, buf: &mut String) -> io::Result<Line> {
+    let mut bytes = std::mem::take(buf).into_bytes();
+    bytes.clear();
+    // One byte of room for the newline: a line that fills the window
+    // without ending in one is too long.
+    let window = MAX_LINE_BYTES as u64 + 1;
+    let read = Read::take(&mut *input, window).read_until(b'\n', &mut bytes)?;
+    if read == 0 {
+        return Ok(Line::Eof);
+    }
+    if read as u64 == window && bytes.last() != Some(&b'\n') {
+        input.skip_until(b'\n')?;
+        bytes.clear();
+        *buf = String::from_utf8(bytes).expect("empty buffer");
+        return Ok(Line::TooLong);
+    }
+    *buf = String::from_utf8(bytes).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        )
+    })?;
+    Ok(Line::Text)
+}
+
 /// A protocol session: reads request lines from an input stream, writes
 /// response lines to an output stream, owning a [`Server`].
 ///
@@ -615,13 +658,24 @@ impl Session {
 
     /// Serves one input stream to completion: processes request lines
     /// until end-of-stream or `QUIT`. Blank lines outside batches are
-    /// ignored; inside a batch every line counts (see PROTOCOL.md).
+    /// ignored; inside a batch every line counts (see PROTOCOL.md). A line
+    /// longer than [`MAX_LINE_BYTES`] is discarded and answered with
+    /// `ERR LINE-TOO-LONG`.
     pub fn run<R: BufRead, W: Write>(&mut self, mut input: R, mut output: W) -> io::Result<()> {
         let mut line = String::new();
         loop {
-            line.clear();
-            if input.read_line(&mut line)? == 0 {
-                return output.flush();
+            match read_line_bounded(&mut input, &mut line)? {
+                Line::Eof => return output.flush(),
+                Line::TooLong => {
+                    writeln!(
+                        output,
+                        "{}",
+                        WireError::line_too_long(MAX_LINE_BYTES).line()
+                    )?;
+                    output.flush()?;
+                    continue;
+                }
+                Line::Text => {}
             }
             let trimmed = line.trim_end_matches(['\n', '\r']);
             if trimmed.trim().is_empty() {
@@ -642,10 +696,17 @@ impl Session {
                     let mut sub = String::new();
                     let mut truncated = false;
                     for _ in 0..n {
-                        sub.clear();
-                        if input.read_line(&mut sub)? == 0 {
-                            truncated = true;
-                            break;
+                        match read_line_bounded(&mut input, &mut sub)? {
+                            Line::Eof => {
+                                truncated = true;
+                                break;
+                            }
+                            Line::TooLong => {
+                                let e = WireError::line_too_long(MAX_LINE_BYTES);
+                                subs.push(QueryReq::Invalid(e));
+                                continue;
+                            }
+                            Line::Text => {}
                         }
                         let subline = sub.trim_end_matches(['\n', '\r']);
                         subs.push(match parse_command(subline) {

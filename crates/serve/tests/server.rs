@@ -330,3 +330,48 @@ fn tcp_sessions_share_server_state() {
     let server = handle.join().unwrap().unwrap();
     assert_eq!(server.stats().queries, 2);
 }
+
+/// An over-long request line is drained and answered with a typed error,
+/// at top level and inside a batch, and the session keeps serving: over
+/// TCP, a 1 MiB line costs the server at most `MAX_LINE_BYTES` of buffer.
+#[test]
+fn over_long_lines_are_rejected_and_the_session_continues() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = Server::new(ServeConfig::default());
+    let handle =
+        std::thread::spawn(move || spanner_serve::serve_listener(listener, server, Some(1)));
+
+    let huge = "D".repeat(1 << 20);
+    let script =
+        format!("{huge}\nPING\nLOAD cycle:n=12\nBATCH 2\nDIST 0 6 {huge}\nDIST 0 3\nQUIT\n");
+    let mut conn = std::net::TcpStream::connect(addr).unwrap();
+    conn.write_all(script.as_bytes()).unwrap();
+    conn.shutdown(std::net::Shutdown::Write).unwrap();
+    let lines: Vec<String> = BufReader::new(conn).lines().map(|l| l.unwrap()).collect();
+    let too_long = format!(
+        "ERR LINE-TOO-LONG request line exceeds {} bytes",
+        spanner_serve::MAX_LINE_BYTES
+    );
+    assert_eq!(
+        lines,
+        [
+            too_long.as_str(),
+            "OK PONG",
+            "OK n=12 m=12 k=2 landmarks=-",
+            "OK BATCH 2",
+            too_long.as_str(),
+            "OK 3",
+            "OK BYE"
+        ]
+    );
+    handle.join().unwrap().unwrap();
+
+    // A line of exactly the limit is still a request; one byte more is not.
+    let pad = |extra: usize| " ".repeat(spanner_serve::MAX_LINE_BYTES - 4 + extra);
+    let script = format!("PING{}\nPING{}\nPING", pad(0), pad(1));
+    let mut out = Vec::new();
+    session(1).run(script.as_bytes(), &mut out).unwrap();
+    let expect = format!("OK PONG\n{too_long}\nOK PONG\n");
+    assert_eq!(String::from_utf8(out).unwrap(), expect);
+}

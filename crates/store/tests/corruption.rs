@@ -17,7 +17,7 @@ use spanner_graph::generators;
 use spanner_store::blocks::{encode_blocks, HEADER_SALT};
 use spanner_store::checksum::{checksum, salted_pick};
 use spanner_store::manifest::{Manifest, DATA_SALT, MANIFEST_LEN, MANIFEST_SALT};
-use spanner_store::wal::RECORD_LEN;
+use spanner_store::wal::{encode_record, Edit, RECORD_LEN};
 use spanner_store::{scratch_dir, DynamicStore, SnapshotMeta, Store, StoreError};
 
 /// A saved snapshot with a non-empty WAL, payload large enough to span
@@ -213,6 +213,37 @@ fn wal_flips_and_double_written_tail_fail_closed() {
     fs::write(&path, &pristine).expect("restore");
     let state = Store::open(&dir).expect("restored wal loads");
     assert_eq!(state.edits.len(), 2);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// The WAL's only size-bearing fields are a record's endpoints, which name
+/// nodes. A checksum-valid tail record at the right index that claims the
+/// largest canonical endpoints decodes (the codec does not know n), so the
+/// replay must reject it with a typed error instead of growing any
+/// per-node state to 2^32 entries.
+#[test]
+fn forged_wal_tail_sizes_are_typed_errors_not_allocations() {
+    let dir = fixture("cor-forged-wal");
+    let path = dir.join("wal-1.log");
+    let pristine = fs::read(&path).expect("read wal");
+    let huge = u32::MAX - 1;
+    for edit in [Edit::Insert(0, huge), Edit::Delete(huge - 1, huge)] {
+        let mut forged = pristine.clone();
+        forged.extend_from_slice(&encode_record(edit, 1, 2));
+        fs::write(&path, &forged).expect("forge tail");
+        let state = Store::open(&dir).expect("a checksum-valid record decodes");
+        assert_eq!(state.edits.last(), Some(&edit));
+        match DynamicStore::open(&dir) {
+            Ok(_) => panic!("{edit:?}: forged WAL tail replayed"),
+            Err(err) => assert!(
+                matches!(&err, StoreError::Wal { detail }
+                    if detail.starts_with("record 2") && detail.contains("out of range")),
+                "{edit:?}: unexpected {err}"
+            ),
+        }
+    }
+    fs::write(&path, &pristine).expect("restore");
+    DynamicStore::open(&dir).expect("restored wal replays");
     fs::remove_dir_all(&dir).ok();
 }
 
