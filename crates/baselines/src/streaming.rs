@@ -20,11 +20,14 @@
 //! log-structured update path of `spanner-store`. It maintains the
 //! edge-cover invariant — every current graph edge `{u, v}` satisfies
 //! δ_S(u, v) ≤ 2k−1 in the maintained subgraph S — which is exactly the
-//! (2k−1)-spanner property. Insertion is the streaming filter; deleting a
-//! spanner edge repairs the invariant by re-checking every graph edge
-//! with an endpoint in the ball of radius 2k−1 around the removed edge
-//! (computed *before* removal — any cover path through the removed edge
-//! starts inside that ball, so nothing outside it can break).
+//! (2k−1)-spanner property. Insertion is the streaming filter; removing
+//! spanner edges repairs the invariant by re-checking every graph edge
+//! with an endpoint in the ball of radius **k−1** around the removed
+//! edges' endpoints, computed in S *before* the removal. The (k−1) rule:
+//! a cover path of length ≤ 2k−1 that uses removed edges splits at its
+//! first and last removed edge into p + (≥ 1) + q ≤ 2k−1 hops, so
+//! min(p, q) ≤ k−1 — one endpoint of every edge whose cover may have
+//! broken lies in that ball, and nothing outside it needs a re-check.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -51,12 +54,7 @@ pub struct StreamingSpanner {
     k: u32,
     adj: LinkedAdjacency,
     kept: Vec<(NodeId, NodeId)>,
-    // Scratch for the bounded BFS (timestamped to avoid re-allocation):
-    // backward marks, forward marks, forward distances.
-    mark: Vec<u32>,
-    fmark: Vec<u32>,
-    fdist: Vec<u32>,
-    epoch: u32,
+    bfs: BfsScratch,
 }
 
 impl StreamingSpanner {
@@ -71,10 +69,7 @@ impl StreamingSpanner {
             k,
             adj: LinkedAdjacency::new(n),
             kept: Vec::new(),
-            mark: vec![0; n],
-            fmark: vec![0; n],
-            fdist: vec![0; n],
-            epoch: 0,
+            bfs: BfsScratch::new(n),
         }
     }
 
@@ -107,7 +102,7 @@ impl StreamingSpanner {
         if u == v {
             return false;
         }
-        if self.distance_at_most(u, v, 2 * self.k - 1) {
+        if self.bfs.distance_at_most(&self.adj, u, v, self.stretch()) {
             return false;
         }
         self.adj.add_edge(u, v);
@@ -115,7 +110,46 @@ impl StreamingSpanner {
         true
     }
 
-    /// Bidirectional bounded BFS in the kept subgraph: is δ(u, v) ≤ `limit`?
+    /// The kept edges, in arrival order, as (min, max) endpoint pairs.
+    pub fn edges(&self) -> &[(NodeId, NodeId)] {
+        &self.kept
+    }
+}
+
+/// Reusable scratch for bounded BFS over a [`LinkedAdjacency`]:
+/// timestamped marks (a new epoch per search instead of clearing), the
+/// forward distances of the bidirectional search, and one queue kept
+/// across calls.
+#[derive(Debug, Clone)]
+struct BfsScratch {
+    /// Backward (or ball) marks.
+    mark: Vec<u32>,
+    /// Forward marks.
+    fmark: Vec<u32>,
+    /// Forward distances, valid where `fmark` is the current epoch.
+    fdist: Vec<u32>,
+    epoch: u32,
+    queue: VecDeque<(NodeId, u32)>,
+}
+
+impl BfsScratch {
+    fn new(n: usize) -> Self {
+        BfsScratch {
+            mark: vec![0; n],
+            fmark: vec![0; n],
+            fdist: vec![0; n],
+            epoch: 0,
+            queue: VecDeque::new(),
+        }
+    }
+
+    fn next_epoch(&mut self) -> u32 {
+        self.epoch += 1;
+        self.queue.clear();
+        self.epoch
+    }
+
+    /// Bidirectional bounded BFS in `adj`: is δ(u, v) ≤ `limit`?
     ///
     /// Meet-in-the-middle: a forward sweep from `u` to radius ⌈limit/2⌉
     /// records its ball, then a backward sweep from `v` to the remaining
@@ -127,42 +161,47 @@ impl StreamingSpanner {
     /// walk of length ≤ limit; conversely a shortest path of length
     /// D ≤ limit has a node at distance min(⌈limit/2⌉, D) from `u` that
     /// the backward sweep reaches within limit − ⌈limit/2⌉ hops.
-    fn distance_at_most(&mut self, u: NodeId, v: NodeId, limit: u32) -> bool {
-        self.epoch += 1;
-        let epoch = self.epoch;
+    fn distance_at_most(
+        &mut self,
+        adj: &LinkedAdjacency,
+        u: NodeId,
+        v: NodeId,
+        limit: u32,
+    ) -> bool {
+        let epoch = self.next_epoch();
         let forward_radius = limit.div_ceil(2);
         self.fmark[u.index()] = epoch;
         self.fdist[u.index()] = 0;
-        let mut queue = VecDeque::from([(u, 0u32)]);
-        while let Some((x, d)) = queue.pop_front() {
+        self.queue.push_back((u, 0));
+        while let Some((x, d)) = self.queue.pop_front() {
             if x == v {
                 return true;
             }
             if d == forward_radius {
                 continue;
             }
-            for y in self.adj.neighbors(x) {
+            for y in adj.neighbors(x) {
                 if self.fmark[y.index()] != epoch {
                     self.fmark[y.index()] = epoch;
                     self.fdist[y.index()] = d + 1;
-                    queue.push_back((y, d + 1));
+                    self.queue.push_back((y, d + 1));
                 }
             }
         }
         let backward_radius = limit - forward_radius;
         self.mark[v.index()] = epoch;
-        let mut queue = VecDeque::from([(v, 0u32)]);
-        while let Some((x, d)) = queue.pop_front() {
+        self.queue.push_back((v, 0));
+        while let Some((x, d)) = self.queue.pop_front() {
             if self.fmark[x.index()] == epoch && self.fdist[x.index()] + d <= limit {
                 return true;
             }
             if d == backward_radius {
                 continue;
             }
-            for y in self.adj.neighbors(x) {
+            for y in adj.neighbors(x) {
                 if self.mark[y.index()] != epoch {
                     self.mark[y.index()] = epoch;
-                    queue.push_back((y, d + 1));
+                    self.queue.push_back((y, d + 1));
                 }
             }
         }
@@ -172,31 +211,58 @@ impl StreamingSpanner {
     /// The original single-direction bounded BFS, kept as the reference
     /// the proptest suite cross-checks the bidirectional version against.
     #[cfg(test)]
-    fn distance_at_most_unidirectional(&mut self, u: NodeId, v: NodeId, limit: u32) -> bool {
-        self.epoch += 1;
-        let epoch = self.epoch;
+    fn distance_at_most_unidirectional(
+        &mut self,
+        adj: &LinkedAdjacency,
+        u: NodeId,
+        v: NodeId,
+        limit: u32,
+    ) -> bool {
+        let epoch = self.next_epoch();
         self.mark[u.index()] = epoch;
-        let mut queue = VecDeque::from([(u, 0u32)]);
-        while let Some((x, d)) = queue.pop_front() {
+        self.queue.push_back((u, 0));
+        while let Some((x, d)) = self.queue.pop_front() {
             if x == v {
                 return true;
             }
             if d == limit {
                 continue;
             }
-            for y in self.adj.neighbors(x) {
+            for y in adj.neighbors(x) {
                 if self.mark[y.index()] != epoch {
                     self.mark[y.index()] = epoch;
-                    queue.push_back((y, d + 1));
+                    self.queue.push_back((y, d + 1));
                 }
             }
         }
         false
     }
 
-    /// The kept edges, in arrival order, as (min, max) endpoint pairs.
-    pub fn edges(&self) -> &[(NodeId, NodeId)] {
-        &self.kept
+    /// Multi-source bounded BFS in `adj`: all nodes within `radius` of
+    /// `sources` (repeats allowed), ascending.
+    fn ball(&mut self, adj: &LinkedAdjacency, sources: &[NodeId], radius: u32) -> Vec<NodeId> {
+        let epoch = self.next_epoch();
+        for &s in sources {
+            if self.mark[s.index()] != epoch {
+                self.mark[s.index()] = epoch;
+                self.queue.push_back((s, 0));
+            }
+        }
+        let mut ball: Vec<NodeId> = Vec::new();
+        while let Some((x, d)) = self.queue.pop_front() {
+            ball.push(x);
+            if d == radius {
+                continue;
+            }
+            for y in adj.neighbors(x) {
+                if self.mark[y.index()] != epoch {
+                    self.mark[y.index()] = epoch;
+                    self.queue.push_back((y, d + 1));
+                }
+            }
+        }
+        ball.sort_unstable();
+        ball
     }
 }
 
@@ -205,7 +271,9 @@ impl StreamingSpanner {
 pub struct CompactStats {
     /// Dirty nodes re-clustered.
     pub region: usize,
-    /// Nodes in the repair ball around the region.
+    /// Nodes in the repair ball: those within k−1 of an endpoint of a
+    /// removed spanner edge, in the spanner before the removal (the (k−1)
+    /// rule of the module docs). Empty when no spanner edge was removed.
     pub ball: usize,
     /// Spanner edges dropped (both endpoints dirty) before re-clustering.
     pub removed: usize,
@@ -257,11 +325,7 @@ pub struct DynamicSpanner {
     sadj: LinkedAdjacency,
     /// Nodes touched by edits since the last compaction.
     dirty: BTreeSet<u32>,
-    // Timestamped BFS scratch, same discipline as [`StreamingSpanner`].
-    mark: Vec<u32>,
-    fmark: Vec<u32>,
-    fdist: Vec<u32>,
-    epoch: u32,
+    bfs: BfsScratch,
 }
 
 impl DynamicSpanner {
@@ -279,10 +343,7 @@ impl DynamicSpanner {
             gadj: LinkedAdjacency::new(n),
             sadj: LinkedAdjacency::new(n),
             dirty: BTreeSet::new(),
-            mark: vec![0; n],
-            fmark: vec![0; n],
-            fdist: vec![0; n],
-            epoch: 0,
+            bfs: BfsScratch::new(n),
         }
     }
 
@@ -301,25 +362,42 @@ impl DynamicSpanner {
         J: IntoIterator<Item = (u32, u32)>,
     {
         assert!(k >= 1, "k must be at least 1");
-        let mut s = DynamicSpanner::new(n, k);
-        for (u, v) in graph {
-            let key = Self::key_checked(n, u, v)?;
-            if !s.graph.insert(key) {
-                return Err(format!("duplicate graph edge {u}-{v}"));
-            }
-            s.gadj.add_edge(NodeId(key.0), NodeId(key.1));
-        }
-        for (u, v) in spanner {
-            let key = Self::key_checked(n, u, v)?;
-            if !s.graph.contains(&key) {
+        let graph = Self::keys_checked(n, graph, "graph")?;
+        let spanner = Self::keys_checked(n, spanner, "spanner")?;
+        // Merge-join: both lists are sorted, so one pass shows spanner ⊆ graph.
+        let mut in_graph = graph.iter().peekable();
+        for &(u, v) in &spanner {
+            while in_graph.next_if(|&&e| e < (u, v)).is_some() {}
+            if in_graph.next_if_eq(&&(u, v)).is_none() {
                 return Err(format!("spanner edge {u}-{v} is not a graph edge"));
             }
-            if !s.spanner.insert(key) {
-                return Err(format!("duplicate spanner edge {u}-{v}"));
-            }
-            s.sadj.add_edge(NodeId(key.0), NodeId(key.1));
         }
+        let mut s = DynamicSpanner::new(n, k);
+        for (keys, adj) in [(&graph, &mut s.gadj), (&spanner, &mut s.sadj)] {
+            for &(u, v) in keys {
+                adj.add_edge(NodeId(u), NodeId(v));
+            }
+        }
+        s.graph = BTreeSet::from_iter(graph);
+        s.spanner = BTreeSet::from_iter(spanner);
         Ok(s)
+    }
+
+    /// Normalizes and checks `pairs`, returning them sorted.
+    fn keys_checked<I>(n: usize, pairs: I, what: &str) -> Result<Vec<(u32, u32)>, String>
+    where
+        I: IntoIterator<Item = (u32, u32)>,
+    {
+        let mut keys = pairs
+            .into_iter()
+            .map(|(u, v)| Self::key_checked(n, u, v))
+            .collect::<Result<Vec<_>, _>>()?;
+        keys.sort_unstable();
+        if let Some(w) = keys.windows(2).find(|w| w[0] == w[1]) {
+            let (u, v) = w[0];
+            return Err(format!("duplicate {what} edge {u}-{v}"));
+        }
+        Ok(keys)
     }
 
     fn key_checked(n: usize, u: u32, v: u32) -> Result<(u32, u32), String> {
@@ -344,7 +422,7 @@ impl DynamicSpanner {
 
     /// Number of vertices.
     pub fn node_count(&self) -> usize {
-        self.mark.len()
+        self.gadj.node_count()
     }
 
     /// Number of current graph edges.
@@ -428,7 +506,7 @@ impl DynamicSpanner {
         }
         self.gadj.add_edge(u, v);
         self.dirty.extend([key.0, key.1]);
-        if !self.distance_at_most(u, v, self.stretch()) {
+        if !self.bfs.distance_at_most(&self.sadj, u, v, self.stretch()) {
             self.spanner.insert(key);
             self.sadj.add_edge(u, v);
         }
@@ -438,17 +516,23 @@ impl DynamicSpanner {
     /// Deletes the graph edge `{u, v}`; returns whether the graph changed.
     ///
     /// A graph-only edge just disappears. Deleting a *spanner* edge
-    /// additionally repairs the cover invariant: the ball of radius 2k−1
-    /// around `u` in S is computed **before** the removal (any cover path
-    /// through `{u, v}` starts at a node of that ball), the edge is
-    /// dropped, and every remaining graph edge with an endpoint in the
+    /// additionally repairs the cover invariant: the ball of radius k−1
+    /// around `{u, v}` in S is computed **before** the removal, the edge
+    /// is dropped, and every remaining graph edge with an endpoint in the
     /// ball is re-checked — re-entering S when its endpoints drifted
-    /// beyond 2k−1 apart.
+    /// beyond 2k−1 apart. The ball suffices: a cover path of length
+    /// ≤ 2k−1 through `{u, v}` has p + 1 + q hops, so min(p, q) ≤ k−1.
     ///
     /// # Panics
     ///
     /// Panics if an endpoint is out of range.
     pub fn delete(&mut self, u: NodeId, v: NodeId) -> bool {
+        self.delete_repairing(u, v, self.k - 1)
+    }
+
+    /// [`DynamicSpanner::delete`] with the repair ball's radius as a
+    /// parameter (the tests check that a smaller one breaks the repair).
+    fn delete_repairing(&mut self, u: NodeId, v: NodeId, radius: u32) -> bool {
         assert!(
             u.index() < self.node_count() && v.index() < self.node_count(),
             "endpoint out of range"
@@ -463,7 +547,7 @@ impl DynamicSpanner {
         self.gadj.remove_edge(u, v);
         self.dirty.extend([key.0, key.1]);
         if self.spanner.remove(&key) {
-            let ball = self.spanner_ball(&[u], self.stretch());
+            let ball = self.bfs.ball(&self.sadj, &[u, v], radius);
             self.sadj.remove_edge(u, v);
             self.refill(&ball);
         }
@@ -475,14 +559,28 @@ impl DynamicSpanner {
     /// `baswana_sen::recluster_region(g, region, ...)` partially applied),
     /// replacing every spanner edge internal to the region with the
     /// hook's choice, then restores the cover invariant with one fixup
-    /// pass over the graph edges incident to the region's pre-removal
-    /// ball. Clears the dirty set.
+    /// pass over the graph edges incident to the repair ball: the nodes
+    /// within k−1 of a removed edge's endpoint in the spanner before the
+    /// removal. As for [`DynamicSpanner::delete`], a cover path of length
+    /// ≤ 2k−1 splits at its first and last removed edge into
+    /// p + (≥ 1) + q hops with min(p, q) ≤ k−1, so no edge outside the
+    /// ball can lose its cover. Clears the dirty set.
     ///
     /// The hook receives the materialized current graph and the sorted
-    /// dirty region, and must return a subset of the graph's edges
-    /// spanning the induced subgraph within stretch 2k−1 (both
-    /// `recluster_region` hooks guarantee this).
+    /// dirty region, and must return a subset of the graph's edges. The
+    /// fixup pass restores the cover whatever that subset is; a hook that
+    /// spans the induced subgraph within stretch 2k−1 (both
+    /// `recluster_region` hooks do) leaves it little to add.
     pub fn compact<F>(&mut self, recluster: F) -> CompactStats
+    where
+        F: FnOnce(&Graph, &[NodeId]) -> EdgeSet,
+    {
+        self.compact_repairing(recluster, self.k - 1)
+    }
+
+    /// [`DynamicSpanner::compact`] with the repair ball's radius as a
+    /// parameter.
+    fn compact_repairing<F>(&mut self, recluster: F, radius: u32) -> CompactStats
     where
         F: FnOnce(&Graph, &[NodeId]) -> EdgeSet,
     {
@@ -490,17 +588,14 @@ impl DynamicSpanner {
             return CompactStats::default();
         }
         let region: Vec<NodeId> = self.dirty.iter().map(|&v| NodeId(v)).collect();
-        // Pre-removal ball: every cover path through a region-internal
-        // spanner edge starts within distance 2k−1 of the region.
-        let ball = self.spanner_ball(&region, self.stretch());
+        let doomed = self.doomed_edges();
+        let ends: Vec<NodeId> = doomed
+            .iter()
+            .flat_map(|&(a, b)| [NodeId(a), NodeId(b)])
+            .collect();
+        let ball = self.bfs.ball(&self.sadj, &ends, radius);
         let g = self.to_graph();
         let chosen = recluster(&g, &region);
-        let doomed: Vec<(u32, u32)> = self
-            .spanner
-            .iter()
-            .copied()
-            .filter(|&(a, b)| self.dirty.contains(&a) && self.dirty.contains(&b))
-            .collect();
         for &(a, b) in &doomed {
             self.spanner.remove(&(a, b));
             self.sadj.remove_edge(NodeId(a), NodeId(b));
@@ -527,104 +622,47 @@ impl DynamicSpanner {
         stats
     }
 
+    /// The spanner edges with both endpoints dirty, ascending: found by
+    /// walking the spanner neighbors of each dirty node.
+    fn doomed_edges(&self) -> Vec<(u32, u32)> {
+        let mut doomed = Vec::new();
+        for &a in &self.dirty {
+            for b in self.sadj.neighbors(NodeId(a)) {
+                if b.0 > a && self.dirty.contains(&b.0) {
+                    doomed.push((a, b.0));
+                }
+            }
+        }
+        doomed.sort_unstable();
+        doomed
+    }
+
     /// Re-checks every graph edge with an endpoint in `ball` against the
     /// current spanner, adding the ones whose cover broke. Candidates are
     /// visited in canonical sorted order so the result is deterministic.
     /// Returns the number of edges added.
     fn refill(&mut self, ball: &[NodeId]) -> usize {
-        let mut candidates: BTreeSet<(u32, u32)> = BTreeSet::new();
+        let mut candidates: Vec<(u32, u32)> = Vec::new();
         for &x in ball {
             for y in self.gadj.neighbors(x) {
-                candidates.insert((x.0.min(y.0), x.0.max(y.0)));
+                candidates.push((x.0.min(y.0), x.0.max(y.0)));
             }
         }
+        candidates.sort_unstable();
+        candidates.dedup();
         let mut added = 0usize;
         for (a, b) in candidates {
             if self.spanner.contains(&(a, b)) {
                 continue;
             }
             let (u, v) = (NodeId(a), NodeId(b));
-            if !self.distance_at_most(u, v, self.stretch()) {
+            if !self.bfs.distance_at_most(&self.sadj, u, v, self.stretch()) {
                 self.spanner.insert((a, b));
                 self.sadj.add_edge(u, v);
                 added += 1;
             }
         }
         added
-    }
-
-    /// Multi-source bounded BFS in the spanner: all nodes within `radius`
-    /// of `sources`, ascending.
-    fn spanner_ball(&mut self, sources: &[NodeId], radius: u32) -> Vec<NodeId> {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        let mut queue = VecDeque::new();
-        for &s in sources {
-            if self.mark[s.index()] != epoch {
-                self.mark[s.index()] = epoch;
-                queue.push_back((s, 0u32));
-            }
-        }
-        let mut ball: Vec<NodeId> = Vec::new();
-        while let Some((x, d)) = queue.pop_front() {
-            ball.push(x);
-            if d == radius {
-                continue;
-            }
-            for y in self.sadj.neighbors(x) {
-                if self.mark[y.index()] != epoch {
-                    self.mark[y.index()] = epoch;
-                    queue.push_back((y, d + 1));
-                }
-            }
-        }
-        ball.sort_unstable();
-        ball
-    }
-
-    /// Bidirectional bounded BFS in the spanner: is δ_S(u, v) ≤ `limit`?
-    /// Same meet-in-the-middle scheme as
-    /// [`StreamingSpanner::distance_at_most`].
-    fn distance_at_most(&mut self, u: NodeId, v: NodeId, limit: u32) -> bool {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        let forward_radius = limit.div_ceil(2);
-        self.fmark[u.index()] = epoch;
-        self.fdist[u.index()] = 0;
-        let mut queue = VecDeque::from([(u, 0u32)]);
-        while let Some((x, d)) = queue.pop_front() {
-            if x == v {
-                return true;
-            }
-            if d == forward_radius {
-                continue;
-            }
-            for y in self.sadj.neighbors(x) {
-                if self.fmark[y.index()] != epoch {
-                    self.fmark[y.index()] = epoch;
-                    self.fdist[y.index()] = d + 1;
-                    queue.push_back((y, d + 1));
-                }
-            }
-        }
-        let backward_radius = limit - forward_radius;
-        self.mark[v.index()] = epoch;
-        let mut queue = VecDeque::from([(v, 0u32)]);
-        while let Some((x, d)) = queue.pop_front() {
-            if self.fmark[x.index()] == epoch && self.fdist[x.index()] + d <= limit {
-                return true;
-            }
-            if d == backward_radius {
-                continue;
-            }
-            for y in self.sadj.neighbors(x) {
-                if self.mark[y.index()] != epoch {
-                    self.mark[y.index()] = epoch;
-                    queue.push_back((y, d + 1));
-                }
-            }
-        }
-        false
     }
 }
 
@@ -731,8 +769,8 @@ mod tests {
                 }
                 let limit = rng.gen_range(0..=2 * k + 2);
                 prop_assert_eq!(
-                    s.distance_at_most(u, v, limit),
-                    s.distance_at_most_unidirectional(u, v, limit),
+                    s.bfs.distance_at_most(&s.adj, u, v, limit),
+                    s.bfs.distance_at_most_unidirectional(&s.adj, u, v, limit),
                     "query ({u}, {v}) limit {limit}"
                 );
             }
@@ -888,5 +926,194 @@ mod tests {
         assert_eq!(s.graph_len(), 0);
         assert_eq!(s.spanner_len(), 0);
         assert_dynamic_invariant(&s);
+    }
+    /// The cover repair before the (k−1) rule, kept as the differential
+    /// oracle: a radius-2k−1 ball seeded by `u` alone on delete and by the
+    /// whole dirty region on compaction, doomed edges found by scanning
+    /// every spanner edge, and refill candidates collected in a set.
+    impl DynamicSpanner {
+        fn delete_reference(&mut self, u: NodeId, v: NodeId) -> bool {
+            let key = (u.0.min(v.0), u.0.max(v.0));
+            if u == v || !self.graph.remove(&key) {
+                return false;
+            }
+            self.gadj.remove_edge(u, v);
+            self.dirty.extend([key.0, key.1]);
+            if self.spanner.remove(&key) {
+                let ball = self.bfs.ball(&self.sadj, &[u], self.stretch());
+                self.sadj.remove_edge(u, v);
+                self.refill_reference(&ball);
+            }
+            true
+        }
+
+        fn compact_reference<F>(&mut self, recluster: F) -> CompactStats
+        where
+            F: FnOnce(&Graph, &[NodeId]) -> EdgeSet,
+        {
+            if self.dirty.is_empty() {
+                return CompactStats::default();
+            }
+            let region: Vec<NodeId> = self.dirty.iter().map(|&v| NodeId(v)).collect();
+            let ball = self.bfs.ball(&self.sadj, &region, self.stretch());
+            let g = self.to_graph();
+            let chosen = recluster(&g, &region);
+            let doomed: Vec<(u32, u32)> = self
+                .spanner
+                .iter()
+                .copied()
+                .filter(|&(a, b)| self.dirty.contains(&a) && self.dirty.contains(&b))
+                .collect();
+            for &(a, b) in &doomed {
+                self.spanner.remove(&(a, b));
+                self.sadj.remove_edge(NodeId(a), NodeId(b));
+            }
+            let mut reclustered = 0usize;
+            for e in chosen.iter() {
+                let (a, b) = g.endpoints(e);
+                if self.spanner.insert((a.0.min(b.0), a.0.max(b.0))) {
+                    self.sadj.add_edge(a, b);
+                    reclustered += 1;
+                }
+            }
+            let refilled = self.refill_reference(&ball);
+            self.dirty.clear();
+            CompactStats {
+                region: region.len(),
+                ball: ball.len(),
+                removed: doomed.len(),
+                reclustered,
+                refilled,
+            }
+        }
+
+        fn refill_reference(&mut self, ball: &[NodeId]) -> usize {
+            let mut candidates: BTreeSet<(u32, u32)> = BTreeSet::new();
+            for &x in ball {
+                for y in self.gadj.neighbors(x) {
+                    candidates.insert((x.0.min(y.0), x.0.max(y.0)));
+                }
+            }
+            let mut added = 0usize;
+            for (a, b) in candidates {
+                let (u, v) = (NodeId(a), NodeId(b));
+                if !self.spanner.contains(&(a, b))
+                    && !self.bfs.distance_at_most(&self.sadj, u, v, self.stretch())
+                {
+                    self.spanner.insert((a, b));
+                    self.sadj.add_edge(u, v);
+                    added += 1;
+                }
+            }
+            added
+        }
+    }
+
+    /// Runs `fast` and the reference side by side through one seeded
+    /// stream of inserts, deletes (two in three aimed at
+    /// spanner edges) and compactions, starting from the spanner of
+    /// G(n, 3n). `fast` is the public `delete` and `compact` when `radius`
+    /// is `None`, and their repair at that radius otherwise. Returns the
+    /// first operation after which the spanners, or the compaction
+    /// statistics other than `ball`, differ; a run that never differs
+    /// must end with the cover invariant intact.
+    ///
+    /// Compactions alternate between the Baswana–Sen hook and one that
+    /// keeps nothing. The Baswana–Sen choice re-covers the region by
+    /// itself, so its refill rarely adds an edge; with the empty hook the
+    /// refill alone must restore every cover the removal broke.
+    fn differential_run(n: usize, k: u32, seed: u64, radius: Option<u32>) -> Result<(), String> {
+        let g = generators::connected_gnm(n, (3 * n).min(n * (n - 1) / 2), seed);
+        let mut fast = DynamicSpanner::new(n, k);
+        for (_, u, v) in g.edges() {
+            fast.insert(u, v);
+        }
+        let mut slow = fast.clone();
+        let params = crate::baswana_sen::BaswanaSenParams::new(k).unwrap();
+        let bs = |g: &Graph, region: &[NodeId]| {
+            crate::baswana_sen::recluster_region(g, region, &params, seed)
+        };
+        let keep_none = |g: &Graph, _: &[NodeId]| EdgeSet::new(g);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        for step in 0..160 {
+            let op = if step % 40 == 39 {
+                let (a, b) = if step % 80 == 79 {
+                    let a = compact_at(&mut fast, keep_none, radius);
+                    (a, slow.compact_reference(keep_none))
+                } else {
+                    (
+                        compact_at(&mut fast, bs, radius),
+                        slow.compact_reference(bs),
+                    )
+                };
+                let ignore_ball = |s: CompactStats| CompactStats { ball: 0, ..s };
+                if ignore_ball(a) != ignore_ball(b) {
+                    return Err(format!("step {step}: compaction stats {a:?} vs {b:?}"));
+                }
+                "compact"
+            } else if rng.gen_bool(0.5) && slow.graph_len() > 0 {
+                let (u, v) = if rng.gen_range(0..3) < 2 && slow.spanner_len() > 0 {
+                    slow.spanner_edges()
+                        .nth(rng.gen_range(0..slow.spanner_len()))
+                } else {
+                    slow.graph_edges().nth(rng.gen_range(0..slow.graph_len()))
+                }
+                .unwrap();
+                let deleted = match radius {
+                    None => fast.delete(u, v),
+                    Some(r) => fast.delete_repairing(u, v, r),
+                };
+                assert!(deleted && slow.delete_reference(u, v));
+                "delete"
+            } else {
+                let u = NodeId(rng.gen_range(0..n as u32));
+                let v = NodeId(rng.gen_range(0..n as u32));
+                assert_eq!(fast.insert(u, v), slow.insert(u, v));
+                "insert"
+            };
+            if fast.spanner != slow.spanner {
+                return Err(format!("step {step} ({op}): spanners differ"));
+            }
+        }
+        assert_dynamic_invariant(&fast);
+        Ok(())
+    }
+
+    fn compact_at<F>(s: &mut DynamicSpanner, hook: F, radius: Option<u32>) -> CompactStats
+    where
+        F: FnOnce(&Graph, &[NodeId]) -> EdgeSet,
+    {
+        match radius {
+            None => s.compact(hook),
+            Some(r) => s.compact_repairing(hook, r),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn k_minus_1_repair_matches_reference(
+            n in 8usize..=200,
+            k in 1u32..=4,
+            seed in any::<u64>(),
+        ) {
+            let run = differential_run(n, k, seed, None);
+            prop_assert!(run.is_ok(), "n={} k={} seed={}: {:?}", n, k, seed, run);
+        }
+    }
+
+    #[test]
+    fn k_minus_2_repair_is_caught() {
+        // The mutant check of the differential test: one ring smaller than
+        // the (k−1) rule misses edges whose only cover ran through a
+        // removed edge.
+        for k in [2u32, 3] {
+            assert!(
+                differential_run(120, k, 4, Some(k - 2)).is_err(),
+                "radius k-2 = {} went unnoticed at k = {k}",
+                k - 2
+            );
+        }
     }
 }

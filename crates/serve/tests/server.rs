@@ -375,3 +375,45 @@ fn over_long_lines_are_rejected_and_the_session_continues() {
     let expect = format!("OK PONG\n{too_long}\nOK PONG\n");
     assert_eq!(String::from_utf8(out).unwrap(), expect);
 }
+
+/// A checksum-valid WAL record naming a node far out of range reaches the
+/// snapshot loader's range check: `LOAD snapshot:` answers `ERR STORE`
+/// and the session keeps serving the graph it had loaded before.
+#[test]
+fn forged_wal_tail_is_a_store_error_and_the_session_continues() {
+    use spanner_store::wal::{encode_record, Edit};
+    let dir = spanner_store::scratch_dir("serve-forged-wal");
+    let mut s = session(1);
+    let out = s.handle_script(&format!(
+        "LOAD path:n=5\nDIST 0 4\nSAVE {}\n",
+        dir.display()
+    ));
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines[0], "OK n=5 m=4 k=2 landmarks=-");
+    assert_eq!(lines[2], "OK SAVED n=5 m=4");
+    let dist = lines[1].to_string();
+
+    let wal = dir.join("wal-1.log");
+    let pristine = std::fs::read(&wal).expect("read wal");
+    let mut forged = pristine.clone();
+    forged.extend_from_slice(&encode_record(Edit::Insert(0, u32::MAX - 1), 1, 0));
+    std::fs::write(&wal, &forged).expect("forge tail");
+    let load = format!("LOAD snapshot:{}\n", dir.display());
+    let out = s.handle_script(&format!("{load}DIST 0 4\n"));
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(
+        lines[0],
+        format!(
+            "ERR STORE snapshot WAL record 0 (0-{}) does not apply to the graph",
+            u32::MAX - 1
+        )
+    );
+    assert_eq!(
+        lines[1], dist,
+        "the loaded graph must survive the failed LOAD"
+    );
+
+    std::fs::write(&wal, &pristine).expect("restore");
+    assert_eq!(s.handle_script(&load), "OK n=5 m=4 k=2 landmarks=-\n");
+    std::fs::remove_dir_all(&dir).ok();
+}
