@@ -106,11 +106,7 @@ fn run_huge() {
         "messages",
         "secs",
     ]);
-    let exec = if threads > 1 {
-        Executor::Parallel { threads }
-    } else {
-        Executor::Sequential
-    };
+    let exec = Executor::Parallel { threads };
     for d in [4.0, 8.0, 12.0] {
         let (csr, gen_secs) = timed(|| Arc::new(workload_csr(n, d / 2.0, 7)));
         let params = SkeletonParams::new(d, 1.0).expect("valid params");

@@ -335,11 +335,7 @@ fn run_huge() {
     add_row("Baswana-Sen k=2 [10]", &s, secs, &mut table);
     drop(s);
 
-    let exec = if threads > 1 {
-        Executor::Parallel { threads }
-    } else {
-        seq
-    };
+    let exec = Executor::Parallel { threads };
     let sk = SkeletonParams::default();
     let (s, secs) = timed(|| {
         skeleton::distributed::build_distributed_on(&csr, &sk, seed, &exec, &mut NullSink).unwrap()

@@ -220,6 +220,64 @@ mod tests {
         }
     }
 
+    /// Broadcasts every round until node 2 panics in round 1.
+    struct Tripwire;
+
+    impl spanner_netsim::Protocol for Tripwire {
+        type Msg = u64;
+        fn init(&mut self, ctx: &mut spanner_netsim::Ctx<'_, u64>) {
+            ctx.broadcast(0);
+        }
+        fn round(
+            &mut self,
+            ctx: &mut spanner_netsim::Ctx<'_, u64>,
+            _: &[(spanner_graph::NodeId, u64)],
+        ) {
+            assert!(ctx.me().0 != 2, "tripwire at node 2");
+            ctx.broadcast(1);
+        }
+    }
+
+    /// A protocol panic on the worker pool is contained like a sequential
+    /// one, with the same partial metrics; a watchdog turns a hung pool
+    /// into a failure.
+    #[test]
+    fn contains_panics_on_the_worker_pool() {
+        let certify = |exec: Executor| {
+            let g = tiny();
+            let csr = Arc::new(CsrAdjacency::from_graph(&g));
+            let net = exec.network(csr, MessageBudget::Unbounded, 1);
+            build_certified(
+                &g,
+                net,
+                |net| {
+                    net.run_traced(|_, _| Tripwire, 8, &mut NullSink)
+                        .map(|_| unreachable!("node 2 panics"))
+                },
+                |_| Ok(()),
+            )
+            .unwrap_err()
+        };
+        let seq = certify(Executor::Sequential);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(certify(Executor::Parallel { threads: 2 }));
+        });
+        let par = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the parallel build returns within 10 s");
+        match &par {
+            FaultError::Uncertified { reason, metrics } => {
+                assert!(reason.contains("tripwire at node 2"), "{reason}");
+                // Round 0's 8 sends plus nodes 0 and 1 in round 1.
+                assert_eq!(metrics.messages, 12);
+                assert_eq!(metrics.rounds, 1);
+            }
+            other => panic!("expected Uncertified, got {other:?}"),
+        }
+        assert_eq!(par, seq);
+    }
+
     #[test]
     fn rejects_failed_certification() {
         let g = tiny();

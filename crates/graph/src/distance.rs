@@ -6,9 +6,9 @@
 //! (exact and the classic two-sweep lower bound). The heavy lifting routes
 //! through the [`DistanceEngine`] (flat CSR; 64-way bit-parallel or
 //! direction-optimizing per-source BFS, picked per graph by the engine's
-//! [`Strategy`](crate::engine::Strategy) probe; optionally threaded); the
-//! original one-BFS-per-source code paths are kept as `*_reference`
-//! functions for the parity suite.
+//! [`Strategy`](crate::engine::Strategy) probe; optionally threaded). The
+//! original one-BFS-per-source code paths live on as references in the
+//! parity suite, `tests/engine_parity.rs`.
 
 use std::sync::Mutex;
 
@@ -19,7 +19,7 @@ use crate::edgeset::EdgeSet;
 use crate::engine::{BfsScratch, DistanceEngine, RowsScratch};
 use crate::graph::{Graph, NodeId};
 use crate::pool::{chunk_range, run_workers};
-use crate::traversal::{bfs_distances, bfs_distances_in_subgraph};
+use crate::traversal::bfs_distances;
 use crate::weighted::{
     dijkstra, dijkstra_in_adjacency, subgraph_adjacency, WeightedGraph, W_UNREACHABLE,
 };
@@ -38,7 +38,7 @@ pub struct Apsp {
 
 /// The one unreachable-distance sentinel for unweighted (hop-count)
 /// distances: `u32::MAX`, used identically by the engine entry points and
-/// every `*_reference` path. The weighted counterpart is
+/// the parity suite's reference paths. The weighted counterpart is
 /// [`W_UNREACHABLE`] (`u64::MAX`), and
 /// unattributed nodes in multi-source results use
 /// [`NO_SOURCE`](crate::engine::NO_SOURCE).
@@ -58,23 +58,6 @@ impl Apsp {
             n: g.node_count(),
             dist: engine.apsp_matrix(),
         }
-    }
-
-    /// The original one-BFS-per-source construction, kept as the reference
-    /// implementation for the engine parity suite.
-    pub fn new_reference(g: &Graph) -> Self {
-        let n = g.node_count();
-        let mut dist = vec![UNREACHABLE; n * n];
-        for s in g.nodes() {
-            let d = bfs_distances(g, s);
-            let row = &mut dist[s.index() * n..(s.index() + 1) * n];
-            for (v, dv) in d.iter().enumerate() {
-                if let Some(x) = dv {
-                    row[v] = *x;
-                }
-            }
-        }
-        Apsp { n, dist }
     }
 
     /// Distance between `u` and `v` (`UNREACHABLE` if disconnected).
@@ -147,7 +130,7 @@ impl StretchBound {
     /// Distances near 2⁵³ are not representable in `f64`, so the float path
     /// would silently accept violations there. The 1e-9 slack survives only
     /// as the fractional-α fallback.
-    fn allows(&self, d: u64, in_spanner: u64) -> bool {
+    pub fn allows(&self, d: u64, in_spanner: u64) -> bool {
         if let Some((num, den)) = rational_alpha(self.alpha) {
             return (in_spanner as u128) * (den as u128)
                 <= (num as u128) * (d as u128) + (self.beta as u128) * (den as u128);
@@ -303,35 +286,6 @@ pub fn verify_stretch_exact_threads(
         Some(violation) => Err(violation),
         None => Ok(()),
     }
-}
-
-/// The original one-BFS-per-source verifier over `Vec<Vec<NodeId>>`
-/// adjacency, kept as the reference implementation for the parity suite.
-pub fn verify_stretch_exact_reference(
-    g: &Graph,
-    spanner: &EdgeSet,
-    bound: StretchBound,
-) -> Result<(), StretchViolation> {
-    let adj = spanner.adjacency(g);
-    for u in g.nodes() {
-        let dg = bfs_distances(g, u);
-        let ds = bfs_distances_in_subgraph(&adj, u, u32::MAX);
-        for v in (u.index() + 1)..g.node_count() {
-            let Some(base) = dg[v] else { continue };
-            let witness = |in_spanner| StretchViolation {
-                u,
-                v: NodeId(v as u32),
-                base: base as u64,
-                in_spanner,
-            };
-            match ds[v] {
-                Some(s) if bound.allows(base as u64, s as u64) => {}
-                Some(s) => return Err(witness(Some(s as u64))),
-                None => return Err(witness(None)),
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Weighted counterpart of [`verify_stretch_exact`]: one Dijkstra per node
@@ -566,24 +520,6 @@ mod tests {
         // The same gap expressed additively.
         assert!(verify_stretch_exact(&g, &span, StretchBound::additive(7)).is_ok());
         assert!(verify_stretch_exact(&g, &span, StretchBound::additive(6)).is_err());
-    }
-
-    #[test]
-    fn apsp_matches_reference() {
-        let g = crate::generators::erdos_renyi_gnm(80, 160, 5);
-        let a = Apsp::new(&g);
-        let r = Apsp::new_reference(&g);
-        for u in g.nodes() {
-            for v in g.nodes() {
-                assert_eq!(a.dist(u, v), r.dist(u, v));
-            }
-        }
-        assert_eq!(a.diameter(), r.diameter());
-        let t = Apsp::with_threads(&g, 4);
-        assert_eq!(
-            t.dist(NodeId(17), NodeId(63)),
-            a.dist(NodeId(17), NodeId(63))
-        );
     }
 
     #[test]

@@ -6,21 +6,164 @@
 //! **byte-identical** to the original `traversal`/`distance`/`girth`
 //! reference implementations on random graphs: connected, disconnected,
 //! and self-loop-free multigraph edge lists (the builder collapses the
-//! duplicates), at every thread count from 1 to 8.
+//! duplicates), at every thread count from 1 to 8. The seed's one-BFS-per-
+//! source APSP, stretch verifier and `VecDeque` girth search live here, as
+//! the references, rather than in the library.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
+
 use spanner_graph::distance::{
-    diameter_exact, eccentricity, verify_stretch_exact_reference, verify_stretch_exact_threads,
-    Apsp, StretchBound, UNREACHABLE,
+    diameter_exact, eccentricity, verify_stretch_exact_threads, Apsp, StretchBound,
+    StretchViolation, UNREACHABLE,
 };
-use spanner_graph::girth::girth_reference;
-use spanner_graph::traversal::{bfs_distances, multi_source_bfs};
+use spanner_graph::girth::girth;
+use spanner_graph::traversal::{bfs_distances, bfs_distances_in_subgraph, multi_source_bfs};
 use spanner_graph::weighted::{dijkstra, WeightedGraph, W_UNREACHABLE};
-use spanner_graph::{generators, DistanceEngine, EdgeSet, Graph, NodeId, Strategy, NO_SOURCE};
+use spanner_graph::{
+    generators, DistanceEngine, EdgeId, EdgeSet, Graph, NodeId, Strategy, NO_SOURCE,
+};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
+
+/// The seed's all-pairs matrix: one BFS per source.
+struct ReferenceApsp {
+    n: usize,
+    dist: Vec<u32>,
+}
+
+impl ReferenceApsp {
+    fn new(g: &Graph) -> Self {
+        let n = g.node_count();
+        let mut dist = vec![UNREACHABLE; n * n];
+        for s in g.nodes() {
+            let d = bfs_distances(g, s);
+            let row = &mut dist[s.index() * n..(s.index() + 1) * n];
+            for (v, dv) in d.iter().enumerate() {
+                if let Some(x) = dv {
+                    row[v] = *x;
+                }
+            }
+        }
+        ReferenceApsp { n, dist }
+    }
+
+    fn dist(&self, u: NodeId, v: NodeId) -> u32 {
+        self.dist[u.index() * self.n + v.index()]
+    }
+
+    /// The largest finite distance between distinct nodes.
+    fn diameter(&self) -> Option<u32> {
+        let mut best = None;
+        for i in 0..self.n {
+            for j in (i + 1)..self.n {
+                let d = self.dist[i * self.n + j];
+                if d != UNREACHABLE {
+                    best = Some(best.map_or(d, |b: u32| b.max(d)));
+                }
+            }
+        }
+        best
+    }
+}
+
+/// The seed's stretch verifier: one BFS per node in the graph and in the
+/// spanner's `Vec<Vec<NodeId>>` adjacency.
+fn verify_stretch_exact_reference(
+    g: &Graph,
+    spanner: &EdgeSet,
+    bound: StretchBound,
+) -> Result<(), StretchViolation> {
+    let adj = spanner.adjacency(g);
+    for u in g.nodes() {
+        let dg = bfs_distances(g, u);
+        let ds = bfs_distances_in_subgraph(&adj, u, u32::MAX);
+        for v in (u.index() + 1)..g.node_count() {
+            let Some(base) = dg[v] else { continue };
+            let witness = |in_spanner| StretchViolation {
+                u,
+                v: NodeId(v as u32),
+                base: base as u64,
+                in_spanner,
+            };
+            match ds[v] {
+                Some(s) if bound.allows(base as u64, s as u64) => {}
+                Some(s) => return Err(witness(Some(s as u64))),
+                None => return Err(witness(None)),
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The seed's girth search: a pruned `VecDeque` BFS from every vertex.
+fn girth_reference(g: &Graph) -> Option<u32> {
+    let mut best: Option<u32> = None;
+    let n = g.node_count();
+    let mut dist = vec![UNREACHABLE; n];
+    let mut via = vec![EdgeId(u32::MAX); n];
+    for s in g.nodes() {
+        dist.fill(UNREACHABLE);
+        let mut queue = VecDeque::new();
+        dist[s.index()] = 0;
+        via[s.index()] = EdgeId(u32::MAX);
+        queue.push_back(s);
+        while let Some(u) = queue.pop_front() {
+            let du = dist[u.index()];
+            if let Some(b) = best {
+                // Cycles through s found at depth >= b/2 cannot improve.
+                if 2 * du + 1 >= b {
+                    break;
+                }
+            }
+            for &(v, e) in g.neighbors(u) {
+                if e == via[u.index()] {
+                    continue; // don't walk back along the tree edge
+                }
+                if dist[v.index()] == UNREACHABLE {
+                    dist[v.index()] = du + 1;
+                    via[v.index()] = e;
+                    queue.push_back(v);
+                } else {
+                    // Found a cycle through s of length dist(u) + dist(v) + 1.
+                    let len = du + dist[v.index()] + 1;
+                    if best.is_none_or(|b| len < b) {
+                        best = Some(len);
+                    }
+                }
+            }
+        }
+    }
+    best
+}
+
+#[test]
+fn apsp_matches_reference() {
+    let g = generators::erdos_renyi_gnm(80, 160, 5);
+    let a = Apsp::new(&g);
+    let r = ReferenceApsp::new(&g);
+    for u in g.nodes() {
+        for v in g.nodes() {
+            assert_eq!(a.dist(u, v), r.dist(u, v));
+        }
+    }
+    assert_eq!(a.diameter(), r.diameter());
+    let t = Apsp::with_threads(&g, 4);
+    assert_eq!(
+        t.dist(NodeId(17), NodeId(63)),
+        a.dist(NodeId(17), NodeId(63))
+    );
+}
+
+#[test]
+fn engine_girth_matches_reference_on_random_graphs() {
+    for seed in 0..8u64 {
+        let g = generators::erdos_renyi_gnm(60, 40 + 15 * seed as usize, seed);
+        assert_eq!(girth(&g), girth_reference(&g), "seed {seed}");
+    }
+}
 
 /// A random graph in one of three shapes: connected, a sparse (usually
 /// disconnected) G(n, m), or a raw multigraph edge list with duplicate
@@ -103,7 +246,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let g = random_graph(n, m, shape, seed);
-        let reference = Apsp::new_reference(&g);
+        let reference = ReferenceApsp::new(&g);
         let ref_diameter = g.nodes().map(|v| eccentricity(&g, v)).max();
         let ref_girth = girth_reference(&g);
         for threads in THREAD_COUNTS {

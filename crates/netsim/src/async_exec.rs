@@ -1,9 +1,9 @@
 //! The event-driven asynchronous executor.
 //!
-//! The paper's model (and the [`Network`](crate::Network) /
-//! [`ParallelNetwork`](crate::ParallelNetwork) executors) is perfectly
-//! synchronous: messages sent in round `r` arrive at the start of round
-//! `r + 1`. Real links deliver with per-hop latency. [`AsyncNetwork`] runs
+//! The paper's model (and the synchronous [`Network`](crate::Network)
+//! executor, at any thread count) is perfectly synchronous: messages sent
+//! in round `r` arrive at the start of round `r + 1`. Real links deliver
+//! with per-hop latency. [`AsyncNetwork`] runs
 //! the **same unchanged [`Protocol`] state machines** on such links by
 //! pairing a discrete-event scheduler with a *synchronizer* — the classic
 //! construction (Awerbuch's α-synchronizer, and the skeleton-based variant
@@ -96,12 +96,13 @@ use rand::rngs::SmallRng;
 
 use spanner_graph::{Graph, NodeId};
 
-use crate::budget::{BudgetViolation, MessageBudget};
+use crate::budget::MessageBudget;
 use crate::csr::CsrAdjacency;
 use crate::faults::FaultPlan;
 use crate::metrics::RunMetrics;
 use crate::rng::node_rng;
-use crate::sync::{scatter, Ctx, MessageSize, Protocol, RunError};
+use crate::round::{accept, scatter};
+use crate::sync::{Ctx, MessageSize, Protocol, RunError};
 use crate::trace::{NullSink, PhaseAction, TraceSink, Tracer};
 
 /// How round safety is disseminated between protocol rounds.
@@ -506,57 +507,64 @@ impl AsyncNetwork {
         let mut stamp = 0u64;
         let mut phase_actions: Vec<PhaseAction> = Vec::new();
 
-        // Init phase (round 0), in global node order — exactly like the
-        // sequential executor, so RNG streams, budget checks, and the
+        // Round 0 runs every `init`, in global node order — exactly like
+        // the synchronous executor, so RNG streams, budget checks, and the
         // protocol trace stream agree byte-for-byte.
-        if traced {
-            tracer.begin_round(0);
-        }
-        for v in 0..n {
-            let node = NodeId(v as u32);
-            outbox.clear();
-            stamp += 1;
-            {
-                let mut ctx = Ctx::new_for_executor(
-                    node,
-                    n,
-                    0,
-                    self.adjacency.neighbors(node),
-                    &mut rngs[v],
-                    &mut outbox,
-                    &mut seen,
-                    stamp,
-                    &mut phase_actions,
-                    traced,
-                );
-                nodes[v].init(&mut ctx);
-            }
-            if traced {
-                tracer.apply_actions(&mut phase_actions);
-            }
-            flush(
-                &mut self.metrics,
-                self.budget,
-                &self.delays,
-                node,
-                0,
-                exec_time[v],
-                &mut outbox,
-                &mut heap,
-                &mut seq,
-                &mut sync.pending_acks,
-                &mut in_flight,
-                tracer,
-                traced,
-            )?;
-        }
-        if traced {
-            tracer.end_round();
-        }
-
         let mut round: u32 = 0;
         loop {
-            // Quiescence test, identical to the sequential executor's: no
+            if traced {
+                tracer.begin_round(round);
+            }
+            for v in 0..n {
+                let node = NodeId(v as u32);
+                let inbox = &mut flat[offsets[v] as usize..offsets[v + 1] as usize];
+                // Arrival order is delay-dependent; sorting by sender
+                // restores the synchronous inbox order.
+                inbox.sort_unstable_by_key(|&(s, _)| s);
+                outbox.clear();
+                stamp += 1;
+                {
+                    let mut ctx = Ctx::new_for_executor(
+                        node,
+                        n,
+                        round,
+                        self.adjacency.neighbors(node),
+                        &mut rngs[v],
+                        &mut outbox,
+                        &mut seen,
+                        stamp,
+                        &mut phase_actions,
+                        traced,
+                    );
+                    if round == 0 {
+                        nodes[v].init(&mut ctx);
+                    } else {
+                        nodes[v].round(&mut ctx, inbox);
+                    }
+                }
+                if traced {
+                    tracer.apply_actions(&mut phase_actions);
+                }
+                flush(
+                    &mut self.metrics,
+                    self.budget,
+                    &self.delays,
+                    node,
+                    round,
+                    exec_time[v],
+                    &mut outbox,
+                    &mut heap,
+                    &mut seq,
+                    &mut sync.pending_acks,
+                    &mut in_flight,
+                    tracer,
+                )?;
+            }
+            if traced {
+                tracer.end_round();
+            }
+
+            // Quiescence test, identical to the synchronous executor's: no
             // protocol messages in flight and every node content to stop.
             if in_flight == 0 && nodes.iter().all(Protocol::done) {
                 break;
@@ -596,54 +604,6 @@ impl AsyncNetwork {
 
             round += 1;
             self.metrics.rounds = round;
-            if traced {
-                tracer.begin_round(round);
-            }
-            for v in 0..n {
-                let node = NodeId(v as u32);
-                let inbox = &mut flat[offsets[v] as usize..offsets[v + 1] as usize];
-                // Arrival order is delay-dependent; sorting by sender
-                // restores the synchronous inbox order.
-                inbox.sort_unstable_by_key(|&(s, _)| s);
-                outbox.clear();
-                stamp += 1;
-                {
-                    let mut ctx = Ctx::new_for_executor(
-                        node,
-                        n,
-                        round,
-                        self.adjacency.neighbors(node),
-                        &mut rngs[v],
-                        &mut outbox,
-                        &mut seen,
-                        stamp,
-                        &mut phase_actions,
-                        traced,
-                    );
-                    nodes[v].round(&mut ctx, inbox);
-                }
-                if traced {
-                    tracer.apply_actions(&mut phase_actions);
-                }
-                flush(
-                    &mut self.metrics,
-                    self.budget,
-                    &self.delays,
-                    node,
-                    round,
-                    exec_time[v],
-                    &mut outbox,
-                    &mut heap,
-                    &mut seq,
-                    &mut sync.pending_acks,
-                    &mut in_flight,
-                    tracer,
-                    traced,
-                )?;
-            }
-            if traced {
-                tracer.end_round();
-            }
         }
 
         self.metrics.sim_time = horizon;
@@ -821,9 +781,10 @@ fn push<M>(
     *seq += 1;
 }
 
-/// Validates one node's outbox and schedules its deliveries — the exact
-/// accounting sequence of the sequential executor's flush (budget check,
-/// metrics, trace, in global sender order), plus the event scheduling.
+/// Accepts one node's outbox through the synchronous executor's
+/// [`accept`] (budget check, metrics, trace, in global sender order) and
+/// schedules its deliveries. The trace accounting is left to the tracer's
+/// own enabled check.
 #[allow(clippy::too_many_arguments)]
 fn flush<M: MessageSize>(
     metrics: &mut RunMetrics,
@@ -838,45 +799,32 @@ fn flush<M: MessageSize>(
     pending_acks: &mut [u32],
     in_flight: &mut u64,
     tracer: &mut Tracer<'_>,
-    traced: bool,
 ) -> Result<(), RunError> {
-    if traced {
-        tracer.on_outbox(outbox.len());
-    }
-    for (to, msg) in outbox.drain(..) {
-        let words = msg.words();
-        if !budget.allows(words) {
-            return Err(RunError::Budget(BudgetViolation {
+    accept::<M, true>(
+        budget,
+        metrics,
+        tracer,
+        sender,
+        round,
+        outbox.drain(..),
+        |to, msg, words| {
+            let lat = delays.link_latency(send_time, sender, to);
+            pending_acks[sender.index()] += 1;
+            *in_flight += 1;
+            push(
+                heap,
+                seq,
+                send_time + lat,
                 sender,
-                receiver: to,
-                round,
-                words,
-                budget,
-            }));
-        }
-        metrics.messages += 1;
-        metrics.words += words as u64;
-        metrics.max_message_words = metrics.max_message_words.max(words);
-        if traced {
-            tracer.on_message(words);
-        }
-        let lat = delays.link_latency(send_time, sender, to);
-        pending_acks[sender.index()] += 1;
-        *in_flight += 1;
-        push(
-            heap,
-            seq,
-            send_time + lat,
-            sender,
-            EventKind::Proto {
-                to,
-                from: sender,
-                msg,
-                words,
-            },
-        );
-    }
-    Ok(())
+                EventKind::Proto {
+                    to,
+                    from: sender,
+                    msg,
+                    words,
+                },
+            );
+        },
+    )
 }
 
 #[cfg(test)]

@@ -1,14 +1,15 @@
 //! One value naming the executor a construction runs on.
 //!
 //! The paper defines every construction once, in one model: synchronous
-//! message passing with bounded words per message. The three executors
-//! ([`Network`], [`ParallelNetwork`], [`AsyncNetwork`]) realise that model
-//! with byte-identical protocol-level results (states, metrics, trace
-//! streams; asserted in `tests/executor_parity.rs`), so a construction
-//! driver needs only *which* executor to use, not a copy of itself per
-//! executor. [`Executor`] is that choice; [`Executor::network`] builds an
-//! [`ExecutorNetwork`] handle over a shared [`CsrAdjacency`] and each run
-//! dispatches once to the chosen executor's own round loop.
+//! message passing with bounded words per message. Two executors realise
+//! that model with byte-identical protocol-level results (states, metrics,
+//! trace streams; asserted in `tests/executor_parity.rs`): the synchronous
+//! [`Network`], whose thread count picks its round loop (inline at one
+//! thread, a worker pool at more), and the event-driven [`AsyncNetwork`].
+//! A construction driver therefore needs only *which* executor to use, not
+//! a copy of itself per executor. [`Executor`] is that choice;
+//! [`Executor::network`] builds an [`ExecutorNetwork`] handle over a shared
+//! [`CsrAdjacency`] and each run dispatches once to the chosen executor.
 //!
 //! # Example
 //!
@@ -34,18 +35,20 @@ use crate::budget::MessageBudget;
 use crate::csr::CsrAdjacency;
 use crate::faults::FaultPlan;
 use crate::metrics::RunMetrics;
-use crate::parallel::ParallelNetwork;
 use crate::sync::{Network, Protocol, RunError};
 use crate::trace::TraceSink;
 
 /// Which executor runs a protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Executor {
-    /// The sequential round loop ([`Network`]), the reference executor.
+    /// The synchronous [`Network`] at one thread: the sequential round
+    /// loop, the reference executor.
     Sequential,
-    /// The worker-pool round loop ([`ParallelNetwork`]).
+    /// The synchronous [`Network`] on `threads` threads
+    /// ([`Network::with_threads`]); at one thread it runs what
+    /// [`Executor::Sequential`] runs.
     Parallel {
-        /// Worker threads; must be at least 1.
+        /// Threads; must be at least 1.
         threads: usize,
     },
     /// The event-driven executor ([`AsyncNetwork`]): per-link latencies
@@ -76,11 +79,11 @@ impl Executor {
     ) -> ExecutorNetwork {
         match self {
             Executor::Sequential => {
-                ExecutorNetwork::Sequential(Network::from_csr(adjacency, budget, seed))
+                ExecutorNetwork::Synchronous(Network::from_csr(adjacency, budget, seed))
             }
-            Executor::Parallel { threads } => ExecutorNetwork::Parallel(ParallelNetwork::from_csr(
-                adjacency, budget, seed, *threads,
-            )),
+            Executor::Parallel { threads } => ExecutorNetwork::Synchronous(
+                Network::from_csr(adjacency, budget, seed).with_threads(*threads),
+            ),
             Executor::Async {
                 delays,
                 synchronizer,
@@ -93,13 +96,11 @@ impl Executor {
     }
 }
 
-/// A network built by [`Executor::network`]: one of the three executors,
+/// A network built by [`Executor::network`]: one of the two executors,
 /// behind the surface they share.
 pub enum ExecutorNetwork {
-    /// A [`Network`].
-    Sequential(Network),
-    /// A [`ParallelNetwork`].
-    Parallel(ParallelNetwork),
+    /// A [`Network`], at the thread count the [`Executor`] named.
+    Synchronous(Network),
     /// An [`AsyncNetwork`].
     Async(AsyncNetwork),
 }
@@ -111,12 +112,13 @@ impl ExecutorNetwork {
     /// # Panics
     ///
     /// Panics on an asynchronous network: fault injection belongs to the
-    /// round-synchronous executors, and the asynchronous one takes only a
+    /// round-synchronous executor, and the asynchronous one takes only a
     /// delay plan.
     pub fn with_faults(self, plan: FaultPlan) -> Self {
         match self {
-            ExecutorNetwork::Sequential(net) => ExecutorNetwork::Sequential(net.with_faults(plan)),
-            ExecutorNetwork::Parallel(net) => ExecutorNetwork::Parallel(net.with_faults(plan)),
+            ExecutorNetwork::Synchronous(net) => {
+                ExecutorNetwork::Synchronous(net.with_faults(plan))
+            }
             ExecutorNetwork::Async(_) => {
                 panic!("fault injection needs a round-synchronous executor")
             }
@@ -126,8 +128,7 @@ impl ExecutorNetwork {
     /// The message budget in force.
     pub fn budget(&self) -> MessageBudget {
         match self {
-            ExecutorNetwork::Sequential(net) => net.budget(),
-            ExecutorNetwork::Parallel(net) => net.budget(),
+            ExecutorNetwork::Synchronous(net) => net.budget(),
             ExecutorNetwork::Async(net) => net.budget(),
         }
     }
@@ -135,8 +136,7 @@ impl ExecutorNetwork {
     /// The shared sorted adjacency.
     pub fn adjacency(&self) -> &CsrAdjacency {
         match self {
-            ExecutorNetwork::Sequential(net) => net.adjacency(),
-            ExecutorNetwork::Parallel(net) => net.adjacency(),
+            ExecutorNetwork::Synchronous(net) => net.adjacency(),
             ExecutorNetwork::Async(net) => net.adjacency(),
         }
     }
@@ -145,8 +145,7 @@ impl ExecutorNetwork {
     /// one; every executor leaves the same protocol-level counters.
     pub fn metrics(&self) -> RunMetrics {
         match self {
-            ExecutorNetwork::Sequential(net) => net.metrics(),
-            ExecutorNetwork::Parallel(net) => net.metrics(),
+            ExecutorNetwork::Synchronous(net) => net.metrics(),
             ExecutorNetwork::Async(net) => net.metrics(),
         }
     }
@@ -171,8 +170,7 @@ impl ExecutorNetwork {
         F: FnMut(NodeId, &mut SmallRng) -> P,
     {
         match self {
-            ExecutorNetwork::Sequential(net) => net.run_traced(factory, max_rounds, sink),
-            ExecutorNetwork::Parallel(net) => net.run_traced(factory, max_rounds, sink),
+            ExecutorNetwork::Synchronous(net) => net.run_traced(factory, max_rounds, sink),
             ExecutorNetwork::Async(net) => net.run_traced(factory, max_rounds, sink),
         }
     }

@@ -5,10 +5,10 @@
 //! a τ-round algorithm. This module supplies that adversary as a testing
 //! tool: a [`FaultPlan`] describes a *schedule* of message drops,
 //! duplications, delivery delays, crash-stop failures, and scheduler
-//! stutters, and both executors ([`Network`](crate::Network) and
-//! [`ParallelNetwork`](crate::ParallelNetwork)) apply it identically —
-//! byte-identical final states, [`RunMetrics`](crate::RunMetrics), and
-//! trace streams at any thread count.
+//! stutters, and both round loops of [`Network`](crate::Network) — inline
+//! and on the worker pool — apply it identically: byte-identical final
+//! states, [`RunMetrics`](crate::RunMetrics), and trace streams at any
+//! thread count.
 //!
 //! # Determinism
 //!
@@ -412,23 +412,21 @@ impl std::fmt::Display for FaultCounters {
     }
 }
 
-/// The executors' shared fault engine: applies a [`FaultPlan`] to the
-/// message stream at the single point both executors already share — the
-/// global-sender-order routing pass — so faulted runs stay deterministic
-/// and executor-independent.
+/// The round loops' shared fault engine, held by their one round core:
+/// applies a [`FaultPlan`] to the message stream at the global-sender-order
+/// acceptance pass, so faulted runs stay deterministic and independent of
+/// the thread count.
 ///
-/// Both executors drive the same call sequence: [`FaultState::begin_round`]
+/// The round core drives one call sequence: [`FaultState::begin_round`]
 /// once per executed round (counts crash/stutter events),
 /// [`FaultState::accept`] per accepted message in global sender order, and
 /// [`FaultState::flush_due`] once per round boundary to materialize that
-/// round's inboxes. `flush_due` never touches the counters, so the two
-/// executors' slightly different call timing around run termination cannot
-/// skew accounting.
+/// round's inboxes. `flush_due` never touches the counters.
 pub(crate) struct FaultState<M> {
     plan: FaultPlan,
     /// Undelivered messages keyed by delivery round, each
     /// `(receiver, sender, msg)` in acceptance order (= send round, then
-    /// global sender order — identical in both executors).
+    /// global sender order — identical at every thread count).
     pending: BTreeMap<u32, Vec<(NodeId, NodeId, M)>>,
     /// Per-receiver staging for the delivery merge; holds messages across
     /// rounds for stuttering receivers.
@@ -463,8 +461,8 @@ impl<M: Clone> FaultState<M> {
     }
 
     /// Counts the crash/stutter events taking effect in `round`. Called
-    /// exactly once per *executed* round by both executors (before the
-    /// nodes run), so the counts are executor-independent.
+    /// exactly once per *executed* round (before the nodes run), so the
+    /// counts do not depend on the thread count.
     pub(crate) fn begin_round(&mut self, round: u32) {
         for v in 0..self.carry.len() as u32 {
             let v = NodeId(v);

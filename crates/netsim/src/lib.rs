@@ -22,12 +22,16 @@
 //! * randomness is deterministic: each node derives its own RNG from the
 //!   master seed, so runs are reproducible bit-for-bit.
 //!
-//! The [`sync`] module provides the runner, [`parallel`] and [`async_exec`]
-//! its worker-pool and event-driven counterparts, and [`executor`] the
-//! [`Executor`] value that picks one of the three for a construction
-//! driver; [`patterns`] provides reusable
-//! protocol building blocks used by the constructions in the paper
-//! (radius-bounded flooding, convergecast, pipelined aggregation).
+//! The [`sync`] module provides the runner. It is one synchronous executor
+//! with two round loops, picked by [`Network::with_threads`]: nodes step
+//! inline at one thread (the reference) or on a worker pool at more, and
+//! both loops share one round core — one message acceptance, one counting
+//! scatter into one inbox arena, one fault engine — so results never depend
+//! on the thread count. [`async_exec`] is the event-driven counterpart, and
+//! [`executor`] the [`Executor`] value that picks one for a construction
+//! driver; [`patterns`] provides reusable protocol building blocks used by
+//! the constructions in the paper (radius-bounded flooding, convergecast,
+//! pipelined aggregation).
 //!
 //! # Example
 //!
@@ -54,9 +58,10 @@ pub mod csr;
 pub mod executor;
 pub mod faults;
 pub mod metrics;
-pub mod parallel;
+mod parallel;
 pub mod patterns;
 pub mod rng;
+mod round;
 pub mod sync;
 pub mod trace;
 
@@ -66,7 +71,6 @@ pub use csr::CsrAdjacency;
 pub use executor::{Executor, ExecutorNetwork};
 pub use faults::{FaultCounters, FaultPlan, MsgFate};
 pub use metrics::RunMetrics;
-pub use parallel::ParallelNetwork;
 pub use sync::{Ctx, MessageSize, Network, Protocol, RunError};
 pub use trace::{
     size_bucket, JsonLinesSink, NullSink, PhaseCost, RingBufferSink, TraceEvent, TraceSink,

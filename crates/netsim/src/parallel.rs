@@ -1,68 +1,72 @@
-//! Parallel round executor.
+//! The worker-pool round loop of [`Network`](crate::Network).
 //!
 //! Round-synchronous simulation parallelizes naturally: within a round every
 //! node reads only its inbox and private state, so nodes can be processed
-//! concurrently. [`ParallelNetwork`] runs the same [`Protocol`] semantics as
-//! [`Network::run`](crate::Network::run) across worker threads,
-//! **deterministically**: per-node RNGs are derived from the master seed
-//! exactly as in the sequential executor, inboxes are sorted by sender, and
-//! messages are routed in global sender order, so the two executors produce
-//! identical final states *and identical metrics* — including the partial
-//! accounting left behind by a failed run (tested below and in
-//! `tests/executor_parity.rs`).
+//! concurrently. A [`Network`](crate::Network) built
+//! [`with_threads`](crate::Network::with_threads) at two or more runs this
+//! loop instead of the sequential one, **deterministically**: the factory
+//! runs on the calling thread in node order, per-node RNGs are derived from
+//! the master seed as in the sequential loop, inboxes are sorted by sender,
+//! and the coordinator accepts every send in global sender order through
+//! the shared round core, so the two loops produce identical final states,
+//! metrics and trace streams — including the partial accounting left
+//! behind by a failed run (tested below and in `tests/executor_parity.rs`).
 //!
 //! # Hot-path design
 //!
 //! The worker pool is created **once per run** with `std::thread::scope` and
 //! parked on a pair of round barriers; no threads are spawned per round.
-//! Each worker owns one contiguous chunk of nodes behind a `Mutex` (contended
-//! only at round boundaries, when the coordinator routes messages). Per
-//! chunk, inboxes and outboxes are single flat arenas with per-node offset
-//! tables — no per-node `Vec` growth: workers append sends to the chunk's
-//! outbox arena and record each node's boundary; the coordinator drains the
-//! arenas in global sender order into one staging buffer and
-//! counting-scatters it back into the chunk inbox arenas (stable, so every
-//! inbox slice stays sender-sorted). All buffers keep their capacity across
-//! rounds, so the steady-state loop performs no per-round heap allocation —
-//! mirroring the sequential executor's arenas.
+//! Each worker owns one contiguous chunk of nodes behind a `Mutex` (locked
+//! by the coordinator only between rounds, so never contended). Between
+//! rounds the coordinator builds the round core's one inbox arena — the
+//! same counting scatter, or fault engine, the sequential loop uses — and
+//! hands each chunk its part of it, last chunk first so each part is the
+//! arena's tail. During the round a worker steps its chunk's due nodes in
+//! ascending order and appends their sends to the chunk's outbox arena,
+//! recording each node's boundary; after it the coordinator accepts the
+//! arenas in global sender order. All buffers keep their capacity across
+//! rounds, so the steady-state loop performs no per-round heap allocation.
 //!
 //! Each chunk carries its slice of the active set (see the sequential
-//! executor): a worker steps only its chunk's due nodes — mail receivers,
-//! which the coordinator marks while it builds the chunk's inbox offsets,
-//! and nodes whose [`Protocol::next_wake`] hint is due — in ascending order,
-//! and the coordinator routes only the nodes that stepped. The chunk's
-//! count of nodes not done replaces a scan of every node's `done` flag.
+//! loop): a worker marks its mail receivers from the chunk's inbox offsets,
+//! then steps only the due nodes — mail receivers and nodes whose
+//! [`Protocol::next_wake`] hint is due — and the coordinator accepts only
+//! the nodes that stepped. The chunk's count of nodes not done replaces a
+//! scan of every node's `done` flag.
 //!
-//! Useful for big-n experiment sweeps; the sequential executor remains the
-//! reference implementation.
+//! A protocol that panics on a worker is caught there, while the worker
+//! still holds its chunk's lock, so the lock is not poisoned and the worker
+//! still reaches the round barrier. The coordinator accepts the sends of
+//! the nodes before the panicking one, as the sequential loop would have,
+//! shuts the pool down, and re-raises the original panic payload.
 
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use rand::rngs::SmallRng;
 
 use spanner_graph::pool::RoundGate;
-use spanner_graph::{Graph, NodeId};
+use spanner_graph::NodeId;
 
 use crate::active::ActiveSet;
-use crate::budget::{BudgetViolation, MessageBudget};
 use crate::csr::CsrAdjacency;
-use crate::faults::{FaultPlan, FaultState};
-use crate::metrics::RunMetrics;
-use crate::rng::node_rng;
-use crate::sync::{Ctx, MessageSize, Protocol, RunError};
-use crate::trace::{NullSink, PhaseAction, TraceSink, Tracer};
+use crate::faults::FaultPlan;
+use crate::round::drive;
+use crate::sync::{Ctx, MessageSize, Protocol, Run, RunError};
+use crate::trace::PhaseAction;
 
 /// Everything one worker thread owns: a contiguous chunk of nodes with their
 /// RNGs, inboxes, and outboxes. Locked by the worker while a round executes
-/// and by the coordinator while messages are routed; the two phases are
-/// separated by barriers, so the lock is never contended.
+/// and by the coordinator between rounds; the two phases are separated by
+/// barriers, so the lock is never contended.
 struct ChunkSlot<P: Protocol> {
     nodes: Vec<P>,
     rngs: Vec<SmallRng>,
-    /// Flat inbox arena: node `i`'s inbox is
-    /// `inbox_flat[inbox_off[i]..inbox_off[i + 1]]`, sender-sorted. Rebuilt
-    /// by the coordinator's counting scatter each round.
+    /// The chunk's part of the round core's inbox arena: node `i`'s inbox
+    /// is `inbox_flat[inbox_off[i] - inbox_off[0]..inbox_off[i + 1] -
+    /// inbox_off[0]]`, sender-sorted.
     inbox_flat: Vec<(NodeId, P::Msg)>,
     inbox_off: Vec<u32>,
     /// Flat outbox arena: workers append in node order and record the end
@@ -75,298 +79,143 @@ struct ChunkSlot<P: Protocol> {
     seen: Vec<u64>,
     stamp: u64,
     /// Per-node phase declarations buffered during the round; the
-    /// coordinator drains them in global sender order while routing.
+    /// coordinator drains them in global sender order.
     phases: Vec<Vec<PhaseAction>>,
     /// The chunk's slice of the active set, over local indices: the worker
-    /// steps its due nodes, the coordinator routes their sends and marks
-    /// the chunk's mail receivers for the next round.
+    /// marks its mail receivers and steps its due nodes, the coordinator
+    /// accepts their sends.
     active: ActiveSet,
+    /// The node stepping now, and the panic payload of a node whose step
+    /// panicked this round.
+    stepping: usize,
+    panicked: Option<(usize, Box<dyn Any + Send>)>,
 }
 
-/// A synchronous network executed by a pool of worker threads.
-///
-/// The parallel counterpart of [`Network`](crate::Network): construct once,
-/// [`ParallelNetwork::run`] to quiescence, read [`ParallelNetwork::metrics`]
-/// afterwards — the metrics are retained even when `run` returns an error,
-/// with exactly the partial accounting the sequential executor would leave.
-///
-/// Like the sequential executor, the topology is one `Arc`'d
-/// [`CsrAdjacency`]; [`ParallelNetwork::from_csr`] runs straight off a
-/// streamed adjacency with no [`Graph`] ever materialized.
-pub struct ParallelNetwork {
-    budget: MessageBudget,
-    seed: u64,
-    threads: usize,
-    metrics: RunMetrics,
-    adjacency: Arc<CsrAdjacency>,
-    /// Fault schedule, if any; `None` selects the pre-fault code path.
-    faults: Option<FaultPlan>,
-}
-
-impl ParallelNetwork {
-    /// A parallel network on `graph` with `threads` workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn new(graph: &Graph, budget: MessageBudget, seed: u64, threads: usize) -> Self {
-        ParallelNetwork::from_csr(
-            Arc::new(CsrAdjacency::from_graph(graph)),
-            budget,
-            seed,
-            threads,
-        )
+impl<P: Protocol> ChunkSlot<P> {
+    /// Steps the chunk's due nodes of `round` (`init` in round 0); `base`
+    /// is the id of the chunk's first node.
+    fn step<const TRACED: bool, const FAULTS: bool>(
+        &mut self,
+        base: usize,
+        round: u32,
+        adjacency: &CsrAdjacency,
+        plan: &FaultPlan,
+    ) {
+        self.out_flat.clear();
+        let first = self.inbox_off[0];
+        if round > 0 {
+            for i in 0..self.nodes.len() {
+                let mail = self.inbox_off[i + 1] != self.inbox_off[i];
+                self.active.mark_mail(i, mail);
+            }
+            self.active.begin_round(round);
+        }
+        let mut due = self.active.cursor();
+        while let Some(i) = self.active.next_due(&mut due) {
+            let v = NodeId((base + i) as u32);
+            // Crashed or stuttering nodes execute nothing this round; an
+            // empty outbox range keeps the coordinator from accepting on
+            // their behalf. (Their inbox slice is necessarily empty: the
+            // fault engine never delivers to a skipped node.) The skip
+            // decision is a pure function of (plan, v, round), identical on
+            // every thread.
+            if !(FAULTS && plan.skips(v, round)) {
+                let (lo, hi) = (self.inbox_off[i] - first, self.inbox_off[i + 1] - first);
+                let inbox = &self.inbox_flat[lo as usize..hi as usize];
+                debug_assert!(inbox.windows(2).all(|w| w[0].0 <= w[1].0));
+                self.stamp += 1;
+                self.stepping = i;
+                let mut ctx = Ctx::new_for_executor(
+                    v,
+                    adjacency.node_count(),
+                    round,
+                    adjacency.neighbors(v),
+                    &mut self.rngs[i],
+                    &mut self.out_flat,
+                    &mut self.seen,
+                    self.stamp,
+                    &mut self.phases[i],
+                    TRACED,
+                );
+                if round == 0 {
+                    self.nodes[i].init(&mut ctx);
+                } else {
+                    self.nodes[i].round(&mut ctx, inbox);
+                }
+            }
+            self.out_end[i] = self.out_flat.len() as u32;
+            self.active
+                .settle::<P, FAULTS>(i, v, round, &self.nodes[i], plan);
+        }
     }
+}
 
-    /// A parallel network straight over a shared CSR adjacency — the
-    /// zero-`Graph` construction path. Runs are byte-identical (states,
-    /// metrics, traces) to a [`ParallelNetwork::new`] over the equivalent
-    /// graph, at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn from_csr(
-        adjacency: Arc<CsrAdjacency>,
-        budget: MessageBudget,
-        seed: u64,
+/// Releases the parked workers for good when the coordinator leaves the
+/// pool, on every way out: a result, an error, or a re-raised panic.
+struct Shutdown<'a>(&'a RoundGate);
+
+impl Drop for Shutdown<'_> {
+    fn drop(&mut self) {
+        self.0.shutdown();
+    }
+}
+
+impl<M: MessageSize + Clone + Send> Run<'_, '_, M> {
+    /// The worker-pool round loop on `threads` workers (see the module
+    /// docs); `nodes` and `rngs` are in node order.
+    pub(crate) fn pooled<P, const TRACED: bool, const FAULTS: bool>(
+        self,
+        nodes: Vec<P>,
+        rngs: Vec<SmallRng>,
         threads: usize,
-    ) -> Self {
-        assert!(threads >= 1, "need at least one worker thread");
-        ParallelNetwork {
-            budget,
-            seed,
-            threads,
-            metrics: RunMetrics::default(),
-            adjacency,
-            faults: None,
-        }
-    }
-
-    /// Injects faults from `plan` on subsequent runs, exactly as
-    /// [`Network::with_faults`](crate::Network::with_faults) does: the
-    /// resulting states, metrics, and trace stream are byte-identical to
-    /// the sequential executor's at any thread count.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// The message budget in force.
-    pub fn budget(&self) -> MessageBudget {
-        self.budget
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Cost accounting of the most recent [`ParallelNetwork::run`] —
-    /// partial (but sequentially identical) if the run failed.
-    pub fn metrics(&self) -> RunMetrics {
-        self.metrics
-    }
-
-    /// The shared sorted adjacency.
-    pub fn adjacency(&self) -> &CsrAdjacency {
-        &self.adjacency
-    }
-
-    /// Runs `factory`-created protocols to quiescence on the worker pool.
-    ///
-    /// Semantics are identical to [`Network::run`](crate::Network::run); in
-    /// particular the result is deterministic in `seed` and independent of
-    /// `threads`.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::RoundLimit`] if not quiescent within `max_rounds`;
-    /// [`RunError::Budget`] if any message exceeds the budget. Either way
-    /// [`ParallelNetwork::metrics`] reflects everything accepted before the
-    /// error, matching the sequential executor word for word.
-    pub fn run<P, F>(&mut self, factory: F, max_rounds: u32) -> Result<Vec<P>, RunError>
-    where
-        P: Protocol + Send,
-        P::Msg: Send,
-        F: FnMut(NodeId, &mut SmallRng) -> P,
-    {
-        self.run_traced(factory, max_rounds, &mut NullSink)
-    }
-
-    /// Like [`ParallelNetwork::run`], streaming
-    /// [`TraceEvent`](crate::TraceEvent)s into `sink`.
-    ///
-    /// The stream is **identical** to the sequential
-    /// [`Network::run_traced`](crate::Network::run_traced) stream for the
-    /// same run, regardless of `threads`: protocols buffer their phase
-    /// declarations while the workers execute, and the coordinator applies
-    /// them — together with the per-message accounting — in global sender
-    /// order during routing, the same order the sequential flush uses.
-    /// The sink is only ever touched by the coordinator thread.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ParallelNetwork::run`].
-    pub fn run_traced<P, F>(
-        &mut self,
-        factory: F,
-        max_rounds: u32,
-        sink: &mut dyn TraceSink,
     ) -> Result<Vec<P>, RunError>
     where
-        P: Protocol + Send,
-        P::Msg: Send,
-        F: FnMut(NodeId, &mut SmallRng) -> P,
+        P: Protocol<Msg = M> + Send,
     {
-        let mut tracer = Tracer::new(sink);
-        // Monomorphized on the tracing and fault decisions like the
-        // sequential executor: the untraced unfaulted routing loop carries
-        // no per-message tracer or fault branches.
-        let result = match (tracer.enabled(), self.faults.is_some()) {
-            (false, false) => {
-                self.run_inner::<P, F, false, false>(factory, max_rounds, &mut tracer)
-            }
-            (true, false) => self.run_inner::<P, F, true, false>(factory, max_rounds, &mut tracer),
-            (false, true) => self.run_inner::<P, F, false, true>(factory, max_rounds, &mut tracer),
-            (true, true) => self.run_inner::<P, F, true, true>(factory, max_rounds, &mut tracer),
-        };
-        tracer.finish(&self.metrics, result.as_ref().err());
-        result
-    }
-
-    fn run_inner<P, F, const TRACED: bool, const FAULTS: bool>(
-        &mut self,
-        mut factory: F,
-        max_rounds: u32,
-        tracer: &mut Tracer<'_>,
-    ) -> Result<Vec<P>, RunError>
-    where
-        P: Protocol + Send,
-        P::Msg: Send,
-        F: FnMut(NodeId, &mut SmallRng) -> P,
-    {
-        self.metrics = RunMetrics::default();
-        let n = self.adjacency.node_count();
-        // The workers consult the plan for their skip decisions (pure
-        // functions, so no coordination is needed); the coordinator owns
-        // the fault engine and applies message fates during routing — the
-        // same global sender order the sequential flush uses.
-        let plan: FaultPlan = self.faults.clone().unwrap_or_default();
-        let mut fstate: FaultState<P::Msg> =
-            FaultState::new(plan.clone(), if FAULTS { n } else { 0 });
-        if n == 0 {
-            // Match the sequential stream: the (empty) init round is traced.
-            if TRACED {
-                tracer.begin_round(0);
-                tracer.end_round();
-            }
-            return Ok(Vec::new());
-        }
-
-        let chunk = n.div_ceil(self.threads).max(1);
-        let nchunks = n.div_ceil(chunk);
-
-        // The factory runs on the coordinator, in node order, exactly as in
-        // the sequential executor — same RNG streams, same call sequence.
-        let slots: Vec<Mutex<ChunkSlot<P>>> = (0..nchunks)
-            .map(|ci| {
-                let lo = ci * chunk;
-                let hi = ((ci + 1) * chunk).min(n);
-                let mut rngs: Vec<SmallRng> =
-                    (lo..hi).map(|v| node_rng(self.seed, v as u32, 0)).collect();
-                let nodes: Vec<P> = (lo..hi)
-                    .map(|v| factory(NodeId(v as u32), &mut rngs[v - lo]))
-                    .collect();
+        let adjacency = self.adjacency;
+        let n = adjacency.node_count();
+        let chunk = n.div_ceil(threads).max(1);
+        let (mut nodes, mut rngs) = (nodes.into_iter(), rngs.into_iter());
+        let slots: Vec<Mutex<ChunkSlot<P>>> = (0..n)
+            .step_by(chunk)
+            .map(|lo| {
+                let len = chunk.min(n - lo);
                 Mutex::new(ChunkSlot {
-                    nodes,
-                    rngs,
+                    nodes: nodes.by_ref().take(len).collect(),
+                    rngs: rngs.by_ref().take(len).collect(),
                     inbox_flat: Vec::new(),
-                    inbox_off: vec![0u32; hi - lo + 1],
+                    inbox_off: vec![0; len + 1],
                     out_flat: Vec::new(),
-                    out_end: vec![0u32; hi - lo],
-                    seen: vec![0u64; n],
+                    out_end: vec![0; len],
+                    seen: vec![0; n],
                     stamp: 0,
-                    phases: (lo..hi).map(|_| Vec::new()).collect(),
-                    active: ActiveSet::new(hi - lo, max_rounds),
+                    phases: (0..len).map(|_| Vec::new()).collect(),
+                    active: ActiveSet::new(len, self.max_rounds),
+                    stepping: 0,
+                    panicked: None,
                 })
             })
             .collect();
-
-        let gate = RoundGate::new(nchunks);
+        // The workers consult the plan for their skip decisions (pure
+        // functions, so no coordination is needed); the coordinator owns
+        // the round core and with it the fault engine.
+        let plan = self.core.plan().clone();
+        let gate = RoundGate::new(slots.len());
         let round_no = AtomicU32::new(0);
-        let adjacency = &self.adjacency;
-        let budget = self.budget;
-        let metrics = &mut self.metrics;
-        let plan = &plan;
 
-        let result: Result<(), RunError> = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (ci, slot) in slots.iter().enumerate() {
-                let (gate, round_no) = (&gate, &round_no);
-                let base = ci * chunk;
+                let (gate, round_no, plan) = (&gate, &round_no, &plan);
                 scope.spawn(move || {
                     while gate.worker_begin() {
                         let round = round_no.load(Ordering::Acquire);
                         let mut guard = slot.lock().expect("worker lock");
-                        let ChunkSlot {
-                            nodes,
-                            rngs,
-                            inbox_flat,
-                            inbox_off,
-                            out_flat,
-                            out_end,
-                            seen,
-                            stamp,
-                            phases,
-                            active,
-                        } = &mut *guard;
-                        out_flat.clear();
-                        if round > 0 {
-                            active.begin_round(round);
-                        }
-                        let mut due = active.cursor();
-                        while let Some(i) = active.next_due(&mut due) {
-                            let v = NodeId((base + i) as u32);
-                            // Crashed or stuttering nodes execute nothing this
-                            // round; an empty outbox range keeps the
-                            // coordinator from routing on their behalf. (Their
-                            // inbox slice is necessarily empty: the fault
-                            // engine never delivers to a skipped node.) The
-                            // skip decision is a pure function of (plan, v,
-                            // round), identical on every executor and thread.
-                            if FAULTS && plan.skips(v, round) {
-                                phases[i].clear();
-                                out_end[i] = out_flat.len() as u32;
-                                active.settle::<P, FAULTS>(i, v, round, &nodes[i], plan);
-                                continue;
-                            }
-                            // Sorted for free: the coordinator's counting
-                            // scatter is stable over the global ascending
-                            // sender order, so each inbox slice is already
-                            // sorted.
-                            let inbox =
-                                &inbox_flat[inbox_off[i] as usize..inbox_off[i + 1] as usize];
-                            debug_assert!(inbox.windows(2).all(|w| w[0].0 <= w[1].0));
-                            *stamp += 1;
-                            let mut ctx = Ctx::new_for_executor(
-                                v,
-                                n,
-                                round,
-                                adjacency.neighbors(v),
-                                &mut rngs[i],
-                                out_flat,
-                                seen,
-                                *stamp,
-                                &mut phases[i],
-                                TRACED,
-                            );
-                            if round == 0 {
-                                nodes[i].init(&mut ctx);
-                            } else {
-                                nodes[i].round(&mut ctx, inbox);
-                            }
-                            out_end[i] = out_flat.len() as u32;
-                            active.settle::<P, FAULTS>(i, v, round, &nodes[i], plan);
+                        let g = &mut *guard;
+                        let stepped = panic::catch_unwind(AssertUnwindSafe(|| {
+                            g.step::<TRACED, FAULTS>(ci * chunk, round, adjacency, plan)
+                        }));
+                        if let Err(payload) = stepped {
+                            g.panicked = Some((g.stepping, payload));
                         }
                         drop(guard);
                         gate.worker_end();
@@ -374,227 +223,71 @@ impl ParallelNetwork {
                 });
             }
 
-            // Coordinator. Workers park on the gate's start barrier; the
-            // final `shutdown` releases them to exit, and the scope joins
-            // them on the way out.
-            let shutdown = || gate.shutdown();
+            let _shutdown = Shutdown(&gate);
+            drive::<M, TRACED, FAULTS>(
+                self.core,
+                self.metrics,
+                self.tracer,
+                self.max_rounds,
+                |core, round, metrics, tracer| {
+                    if round > 0 {
+                        core.deliver::<FAULTS>(round, |_, _| {});
+                        for (ci, slot) in slots.iter().enumerate().rev() {
+                            let g = &mut *slot.lock().expect("split lock");
+                            core.split_off(ci * chunk, &mut g.inbox_off, &mut g.inbox_flat);
+                        }
+                    }
+                    round_no.store(round, Ordering::Release);
+                    gate.open();
+                    gate.close();
 
-            // Routes every outbox into its target inbox in global sender
-            // order (chunks are contiguous and ascending, so chunk order ×
-            // node order = node order). Budget checks and metric updates
-            // happen in that same order, which is what makes the partial
-            // accounting of a failed run identical to the sequential path.
-            // Sends are staged as (receiver, sender, msg) and then
-            // counting-scattered into the chunk inbox arenas — the same
-            // stable scatter the sequential executor uses, split per chunk.
-            // All four buffers keep their capacity across rounds.
-            let mut staging: Vec<(NodeId, NodeId, P::Msg)> = Vec::new();
-            let mut counts: Vec<u32> = vec![0; n];
-            let mut cursor: Vec<u32> = vec![0; n];
-            let mut bases: Vec<*mut (NodeId, P::Msg)> = Vec::with_capacity(nchunks);
-            let mut deliver = |round: u32,
-                               metrics: &mut RunMetrics,
-                               fstate: &mut FaultState<P::Msg>,
-                               tracer: &mut Tracer<'_>|
-             -> Result<(u64, bool), BudgetViolation> {
-                let mut guards: Vec<MutexGuard<'_, ChunkSlot<P>>> = slots
-                    .iter()
-                    .map(|m| m.lock().expect("route lock"))
-                    .collect();
-                for (ci, slot) in guards.iter_mut().enumerate() {
-                    let g = &mut **slot;
-                    let mut sends = g.out_flat.drain(..);
-                    let mut start = 0u32;
-                    // Only the nodes that stepped this round can have
-                    // phase declarations or sends.
-                    let mut stepped = g.active.cursor();
-                    while let Some(i) = g.active.next_due(&mut stepped) {
-                        let sender = NodeId((ci * chunk + i) as u32);
-                        // Phase declarations first, then the node's
-                        // messages — the order the sequential flush uses.
-                        if TRACED {
-                            tracer.apply_actions(&mut g.phases[i]);
-                        }
-                        let cnt = (g.out_end[i] - start) as usize;
-                        start = g.out_end[i];
-                        if TRACED {
-                            tracer.on_outbox(cnt);
-                        }
-                        for _ in 0..cnt {
-                            let (to, msg) = sends.next().expect("outbox offsets tile the arena");
-                            let words = msg.words();
-                            if !budget.allows(words) {
-                                return Err(BudgetViolation {
-                                    sender,
-                                    receiver: to,
-                                    round,
-                                    words,
-                                    budget,
-                                });
+                    let mut guards: Vec<MutexGuard<'_, ChunkSlot<P>>> = slots
+                        .iter()
+                        .map(|m| m.lock().expect("accept lock"))
+                        .collect();
+                    let mut panicked = None;
+                    'accept: for (ci, g) in guards.iter_mut().enumerate() {
+                        let g = &mut **g;
+                        let mut sends = g.out_flat.drain(..);
+                        let mut start = 0u32;
+                        // Only the nodes that stepped this round can have
+                        // phase declarations or sends.
+                        let mut stepped = g.active.cursor();
+                        while let Some(i) = g.active.next_due(&mut stepped) {
+                            if g.panicked.as_ref().is_some_and(|&(at, _)| at == i) {
+                                panicked = g.panicked.take();
+                                break 'accept;
                             }
-                            metrics.messages += 1;
-                            metrics.words += words as u64;
-                            metrics.max_message_words = metrics.max_message_words.max(words);
+                            // Phase declarations first, then the node's
+                            // messages — the order the sequential loop uses.
                             if TRACED {
-                                tracer.on_message(words);
+                                tracer.apply_actions(&mut g.phases[i]);
                             }
-                            if FAULTS {
-                                fstate.accept(round, sender, to, msg);
-                            } else {
-                                staging.push((to, sender, msg));
-                            }
+                            let end = g.out_end[i];
+                            core.accept::<TRACED, FAULTS>(
+                                NodeId((ci * chunk + i) as u32),
+                                round,
+                                sends.by_ref().take((end - start) as usize),
+                                metrics,
+                                tracer,
+                            )?;
+                            start = end;
                         }
                     }
-                }
-                let in_flight;
-                if FAULTS {
-                    // Materialize next round's inboxes through the fault
-                    // engine; messages still pending (delayed or held for a
-                    // stutterer) stay in flight. `flush_due` emits receivers
-                    // in ascending global order, so appending chunk by chunk
-                    // leaves each arena receiver-grouped, and the counts
-                    // prefix-sum into the offset tables.
-                    counts.fill(0);
-                    for g in guards.iter_mut() {
-                        g.inbox_flat.clear();
+                    let quiet = guards.iter().all(|g| g.active.quiet());
+                    drop(guards);
+                    if let Some((_, payload)) = panicked {
+                        panic::resume_unwind(payload);
                     }
-                    let sunk = fstate.flush_due(round + 1, |to, s, m| {
-                        counts[to.index()] += 1;
-                        guards[to.index() / chunk].inbox_flat.push((s, m));
-                    });
-                    for (ci, slot) in guards.iter_mut().enumerate() {
-                        let g = &mut **slot;
-                        let lo = ci * chunk;
-                        g.inbox_off[0] = 0;
-                        for i in 0..g.nodes.len() {
-                            g.inbox_off[i + 1] = g.inbox_off[i] + counts[lo + i];
-                        }
-                        debug_assert_eq!(
-                            *g.inbox_off.last().expect("offset table") as usize,
-                            g.inbox_flat.len()
-                        );
-                    }
-                    in_flight = sunk + fstate.in_flight();
-                } else {
-                    // Stable counting scatter of the staged sends into the
-                    // chunk inbox arenas (see `sync::scatter` for the
-                    // single-arena version of the same idea); the prefix
-                    // pass also marks each chunk's mail receivers due.
-                    in_flight = staging.len() as u64;
-                    counts.fill(0);
-                    for &(to, _, _) in staging.iter() {
-                        counts[to.index()] += 1;
-                    }
-                    for (ci, slot) in guards.iter_mut().enumerate() {
-                        let g = &mut **slot;
-                        let lo = ci * chunk;
-                        g.inbox_off[0] = 0;
-                        for i in 0..g.nodes.len() {
-                            g.inbox_off[i + 1] = g.inbox_off[i] + counts[lo + i];
-                            cursor[lo + i] = g.inbox_off[i];
-                            g.active.mark_mail(i, counts[lo + i] != 0);
-                        }
-                        let total = *g.inbox_off.last().expect("offset table") as usize;
-                        g.inbox_flat.clear();
-                        g.inbox_flat.reserve(total);
-                    }
-                    bases.clear();
-                    bases.extend(guards.iter_mut().map(|g| g.inbox_flat.as_mut_ptr()));
-                    // SAFETY: the counting pass guarantees each chunk's
-                    // bucket cursors tile `0..total` of that chunk's reserved
-                    // arena exactly, so each slot is written exactly once
-                    // before set_len. Nothing between the writes can panic
-                    // (ptr::write and u32 increments on values the counting
-                    // pass already produced), so no partially-initialized
-                    // buffer is ever observed; the base pointers stay valid
-                    // because nothing touches the arenas until set_len.
-                    unsafe {
-                        for (to, sender, msg) in staging.drain(..) {
-                            let c = &mut cursor[to.index()];
-                            std::ptr::write(
-                                bases[to.index() / chunk].add(*c as usize),
-                                (sender, msg),
-                            );
-                            *c += 1;
-                        }
-                        for g in guards.iter_mut() {
-                            let total = *g.inbox_off.last().expect("offset table") as usize;
-                            g.inbox_flat.set_len(total);
-                        }
-                    }
-                }
-                let all_done = guards.iter().all(|g| g.active.quiet());
-                Ok((in_flight, all_done))
-            };
+                    Ok(quiet)
+                },
+            )
+        })?;
 
-            // Init phase (round 0).
-            if TRACED {
-                tracer.begin_round(0);
-            }
-            if FAULTS {
-                fstate.begin_round(0);
-            }
-            gate.open();
-            gate.close();
-            let (mut in_flight, mut all_done) = match deliver(0, metrics, &mut fstate, tracer) {
-                Ok(v) => v,
-                Err(v) => {
-                    metrics.faults = fstate.counters();
-                    shutdown();
-                    return Err(RunError::Budget(v));
-                }
-            };
-            if FAULTS {
-                metrics.faults = fstate.counters();
-            }
-            if TRACED {
-                tracer.end_round();
-            }
-
-            let mut round: u32 = 0;
-            loop {
-                if in_flight == 0 && all_done {
-                    shutdown();
-                    return Ok(());
-                }
-                if round >= max_rounds {
-                    shutdown();
-                    return Err(RunError::RoundLimit { max_rounds });
-                }
-                round += 1;
-                metrics.rounds = round;
-                if TRACED {
-                    tracer.begin_round(round);
-                }
-                if FAULTS {
-                    fstate.begin_round(round);
-                }
-                round_no.store(round, Ordering::Release);
-                gate.open();
-                gate.close();
-                (in_flight, all_done) = match deliver(round, metrics, &mut fstate, tracer) {
-                    Ok(v) => v,
-                    Err(v) => {
-                        metrics.faults = fstate.counters();
-                        shutdown();
-                        return Err(RunError::Budget(v));
-                    }
-                };
-                if FAULTS {
-                    metrics.faults = fstate.counters();
-                }
-                if TRACED {
-                    tracer.end_round();
-                }
-            }
-        });
-
-        result.map(|()| {
-            slots
-                .into_iter()
-                .flat_map(|m| m.into_inner().expect("slot poisoned").nodes)
-                .collect()
-        })
+        Ok(slots
+            .into_iter()
+            .flat_map(|m| m.into_inner().expect("slot poisoned").nodes)
+            .collect())
     }
 }
 
@@ -603,6 +296,7 @@ mod tests {
     use super::*;
     use crate::patterns::MinIdBroadcast;
     use crate::sync::Network;
+    use crate::MessageBudget;
     use spanner_graph::generators;
 
     #[test]
@@ -614,7 +308,7 @@ mod tests {
             .run(|v, _| MinIdBroadcast::new(sources(v), 40), 256)
             .unwrap();
         for threads in [1, 2, 4] {
-            let mut par_net = ParallelNetwork::new(&g, MessageBudget::Words(2), 99, threads);
+            let mut par_net = Network::new(&g, MessageBudget::Words(2), 99).with_threads(threads);
             let par = par_net
                 .run(|v, _| MinIdBroadcast::new(sources(v), 40), 256)
                 .unwrap();
@@ -645,7 +339,8 @@ mod tests {
             }
         }
         let g = generators::cycle(6);
-        let err = ParallelNetwork::new(&g, MessageBudget::CONGEST, 1, 2)
+        let err = Network::new(&g, MessageBudget::CONGEST, 1)
+            .with_threads(2)
             .run(|_, _| Chatter, 3)
             .unwrap_err();
         assert_eq!(err, RunError::RoundLimit { max_rounds: 3 });
@@ -660,7 +355,7 @@ mod tests {
             fn round(&mut self, _: &mut Ctx<'_, u64>, _: &[(NodeId, u64)]) {}
         }
         let g = spanner_graph::Graph::empty(0);
-        let mut net = ParallelNetwork::new(&g, MessageBudget::CONGEST, 1, 3);
+        let mut net = Network::new(&g, MessageBudget::CONGEST, 1).with_threads(3);
         let states = net.run(|_, _| Quiet, 4).unwrap();
         assert!(states.is_empty());
         assert_eq!(net.metrics().messages, 0);
@@ -669,7 +364,8 @@ mod tests {
     #[test]
     fn more_threads_than_nodes() {
         let g = generators::path(3);
-        let states = ParallelNetwork::new(&g, MessageBudget::Words(2), 5, 16)
+        let states = Network::new(&g, MessageBudget::Words(2), 5)
+            .with_threads(16)
             .run(|v, _| MinIdBroadcast::new(v == NodeId(0), 10), 32)
             .unwrap();
         assert!(states.iter().all(|s| s.nearest().is_some()));
@@ -692,12 +388,13 @@ mod tests {
         seq.run(|v, _| relay(v), 100).unwrap();
         let alarm_path = generators::path(130);
         for threads in 1..=3 {
-            let mut par = ParallelNetwork::new(&path, MessageBudget::CONGEST, 1, threads);
+            let mut par = Network::new(&path, MessageBudget::CONGEST, 1).with_threads(threads);
             let states = par.run(|v, _| relay(v), 100).unwrap();
             assert!(states.iter().skip(1).all(|s| s.0.delivered));
             assert_eq!(par.metrics(), seq.metrics(), "{threads} threads");
 
-            let mut par = ParallelNetwork::new(&alarm_path, MessageBudget::CONGEST, 1, threads);
+            let mut par =
+                Network::new(&alarm_path, MessageBudget::CONGEST, 1).with_threads(threads);
             let states = par.run(|v, _| Alarm::new(v, 4), 10).unwrap();
             assert_eq!(states[0].stepped, vec![4]);
             assert_eq!(states[1].stepped, vec![5]);
@@ -705,13 +402,14 @@ mod tests {
             assert_eq!(par.metrics().rounds, 5);
 
             for at in [11, u32::MAX] {
-                let mut par = ParallelNetwork::new(&alarm_path, MessageBudget::CONGEST, 1, threads);
+                let mut par =
+                    Network::new(&alarm_path, MessageBudget::CONGEST, 1).with_threads(threads);
                 let err = par.run(|v, _| Alarm::new(v, at), 10).unwrap_err();
                 assert_eq!(err, RunError::RoundLimit { max_rounds: 10 });
                 assert_eq!(par.metrics().messages, 0);
             }
 
-            let mut par = ParallelNetwork::new(&path, MessageBudget::CONGEST, 1, threads);
+            let mut par = Network::new(&path, MessageBudget::CONGEST, 1).with_threads(threads);
             let err = par.run(|_, _| Sleeper, 7).unwrap_err();
             assert_eq!(err, RunError::RoundLimit { max_rounds: 7 });
             assert_eq!(par.metrics().rounds, 7);
@@ -738,10 +436,61 @@ mod tests {
         let g = generators::cycle(6);
         let mut seq = Network::new(&g, MessageBudget::Words(4), 3);
         let seq_err = seq.run(|_, _| FatSecond, 16).unwrap_err();
-        let mut par = ParallelNetwork::new(&g, MessageBudget::Words(4), 3, 3);
+        let mut par = Network::new(&g, MessageBudget::Words(4), 3).with_threads(3);
         let par_err = par.run(|_, _| FatSecond, 16).unwrap_err();
         assert_eq!(seq_err, par_err);
         assert_eq!(seq.metrics(), par.metrics());
         assert!(seq.metrics().messages > 0); // genuinely partial, not empty
+    }
+
+    /// Broadcasts every round until node 3 panics in round 2.
+    #[derive(Debug)]
+    struct PanicAt;
+
+    impl Protocol for PanicAt {
+        type Msg = u64;
+        fn init(&mut self, ctx: &mut Ctx<'_, u64>) {
+            ctx.broadcast(0);
+        }
+        fn round(&mut self, ctx: &mut Ctx<'_, u64>, _: &[(NodeId, u64)]) {
+            assert!(
+                !(ctx.round() == 2 && ctx.me() == NodeId(3)),
+                "node 3 gives up in round 2"
+            );
+            ctx.broadcast(ctx.round() as u64);
+        }
+    }
+
+    /// A protocol panic on a worker reaches the caller with its original
+    /// payload instead of hanging the pool, and leaves the metrics the
+    /// sequential loop leaves: everything accepted before the panicking
+    /// node stepped. A watchdog turns a hang into a failure.
+    #[test]
+    fn worker_panic_propagates_with_sequential_metrics() {
+        let run = |threads: usize| {
+            let g = generators::cycle(8);
+            let mut net = Network::new(&g, MessageBudget::CONGEST, 1).with_threads(threads);
+            let payload = panic::catch_unwind(AssertUnwindSafe(|| net.run(|_, _| PanicAt, 10)))
+                .expect_err("the protocol panics");
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_owned())
+                .or_else(|| payload.downcast_ref::<String>().cloned());
+            (message, net.metrics())
+        };
+        let seq = run(1);
+        assert_eq!(seq.0.as_deref(), Some("node 3 gives up in round 2"));
+        assert_eq!(seq.1.rounds, 2);
+        assert_eq!(seq.1.messages, 16 + 16 + 6);
+        for threads in [2, 3] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = tx.send(run(threads));
+            });
+            let par = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap_or_else(|e| panic!("{threads} threads: no result within 10 s ({e})"));
+            assert_eq!(par, seq, "{threads} threads");
+        }
     }
 }

@@ -11,6 +11,17 @@
 //! the round cap is hit (an error: the paper's algorithms have hard round
 //! bounds and exceeding them is a bug, not a long run).
 //!
+//! # One executor, two round loops
+//!
+//! The thread count ([`Network::with_threads`], default 1) picks the round
+//! loop: the sequential loop in this module, the reference, or the worker
+//! pool (the crate's private `parallel` module). Both run on one round
+//! core (the private `round` module): the same message acceptance (budget
+//! check, metrics, trace accounting), the same inbox arena built between
+//! rounds by one counting scatter — or, under a [`FaultPlan`], by the fault
+//! engine — and the same round sequence, in which round 0 steps every
+//! `init`.
+//!
 //! # Hot-path design
 //!
 //! The round loop performs no per-round heap allocation in steady state:
@@ -18,7 +29,7 @@
 //! inbox arena with per-receiver offsets, both keeping their capacity; the
 //! outbox is one reused `Vec`; duplicate-send detection is a per-node stamp
 //! array ([`Ctx::send`] is O(log deg), [`Ctx::broadcast`] is O(deg)).
-//! Adjacency is a flat [`CsrAdjacency`] shared with the parallel executor.
+//! Adjacency is a flat [`CsrAdjacency`] shared with the other executors.
 //!
 //! Only the *active set* steps: the nodes with mail, which the scatter's
 //! prefix-sum pass marks in a bitset, and the nodes whose
@@ -39,9 +50,10 @@ use spanner_graph::{Graph, NodeId};
 use crate::active::ActiveSet;
 use crate::budget::{BudgetViolation, MessageBudget};
 use crate::csr::CsrAdjacency;
-use crate::faults::{FaultPlan, FaultState};
+use crate::faults::FaultPlan;
 use crate::metrics::RunMetrics;
 use crate::rng::node_rng;
+use crate::round::{drive, RoundCore};
 use crate::trace::{NullSink, PhaseAction, TraceSink, Tracer};
 
 /// Message length in words of O(log n) bits.
@@ -86,8 +98,8 @@ impl<A: MessageSize, B: MessageSize> MessageSize for (A, B) {
 /// A per-node state machine run by [`Network`].
 ///
 /// Implementations receive the full inbox of the round (sender plus message,
-/// sorted by sender id — a deterministic order shared by the sequential and
-/// parallel executors) and send via the [`Ctx`].
+/// sorted by sender id — a deterministic order shared by every executor
+/// and thread count) and send via the [`Ctx`].
 pub trait Protocol {
     /// The message type exchanged by this protocol.
     type Msg: Clone + MessageSize;
@@ -109,10 +121,10 @@ pub trait Protocol {
     /// The earliest round after `round` in which this node must step even
     /// if its inbox is empty; `None` means "only when mail arrives".
     ///
-    /// The synchronous executors ([`Network`] and
-    /// [`ParallelNetwork`](crate::ParallelNetwork), unfaulted) call this
-    /// after every step and skip the node until it has mail or its wake
-    /// round comes. The default, `round + 1`, steps the node every round.
+    /// The synchronous executor ([`Network`], unfaulted, at any thread
+    /// count) calls this after every step and skips the node until it has
+    /// mail or its wake round comes. The default, `round + 1`, steps the
+    /// node every round.
     ///
     /// A hint is a promise that stepping the node with an empty inbox in
     /// any round before the wake would be a **no-op**: no state change, no
@@ -151,7 +163,8 @@ pub struct Ctx<'a, M> {
 }
 
 impl<'a, M> Ctx<'a, M> {
-    /// Internal constructor shared by the sequential and parallel executors.
+    /// Internal constructor for the worker pool and the event-driven
+    /// executor.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new_for_executor(
         node: NodeId,
@@ -335,8 +348,16 @@ impl From<BudgetViolation> for RunError {
 /// Construct once per run; [`Network::run`] drives a fresh set of protocol
 /// instances to quiescence and leaves cost accounting in
 /// [`Network::metrics`] — including after a failed run, where the metrics
-/// cover everything accepted up to the error (the parallel executor
-/// guarantees the identical partial accounting).
+/// cover everything accepted up to the error.
+///
+/// The thread count picks the round loop. At one thread (the default) the
+/// nodes step inline, in ascending id order: the reference loop. With
+/// [`Network::with_threads`] at two or more, a worker pool steps
+/// contiguous chunks of nodes in parallel. Both loops run on one round
+/// core — the same message acceptance, inbox arena and fault engine — and
+/// accept sends in global sender order, so a run's final states, metrics
+/// (partial ones after a failure included) and trace stream do not depend
+/// on the thread count.
 ///
 /// The topology is one `Arc`'d [`CsrAdjacency`]; a [`Graph`] is only an
 /// optional convenience input ([`Network::new`]), never a requirement —
@@ -346,6 +367,7 @@ impl From<BudgetViolation> for RunError {
 pub struct Network {
     budget: MessageBudget,
     seed: u64,
+    threads: usize,
     metrics: RunMetrics,
     /// Sorted flat adjacency (the Ctx hands slices of it out and `send`
     /// binary searches them), shared with drivers and other executors.
@@ -367,10 +389,23 @@ impl Network {
         Network {
             budget,
             seed,
+            threads: 1,
             metrics: RunMetrics::default(),
             adjacency,
             faults: None,
         }
+    }
+
+    /// Runs subsequent runs on `threads` threads: one steps the nodes
+    /// inline, two or more on a worker pool. Results do not depend on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads == 0`.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        assert!(threads >= 1, "need at least one worker thread");
+        self.threads = threads;
+        self
     }
 
     /// Injects faults from `plan` on subsequent runs (see
@@ -397,11 +432,16 @@ impl Network {
         &self.adjacency
     }
 
-    /// Runs `factory`-created protocols to quiescence, sequentially.
+    /// Runs `factory`-created protocols to quiescence.
     ///
     /// `factory(v, rng)` builds node `v`'s initial state; `rng` is the
     /// node's private RNG (stream 0), which the protocol may use for its
-    /// own up-front random choices. Returns the final node states.
+    /// own up-front random choices. The factory runs on the calling
+    /// thread, in node order, whatever the thread count. Returns the final
+    /// node states.
+    ///
+    /// A protocol panic propagates to the caller with its original
+    /// payload, on the worker pool too.
     ///
     /// # Errors
     ///
@@ -409,7 +449,8 @@ impl Network {
     /// [`RunError::Budget`] if any message exceeds the budget.
     pub fn run<P, F>(&mut self, factory: F, max_rounds: u32) -> Result<Vec<P>, RunError>
     where
-        P: Protocol,
+        P: Protocol + Send,
+        P::Msg: Send,
         F: FnMut(NodeId, &mut SmallRng) -> P,
     {
         self.run_traced(factory, max_rounds, &mut NullSink)
@@ -419,13 +460,14 @@ impl Network {
     /// into `sink` as the run executes.
     ///
     /// With a disabled sink ([`NullSink`]) this is exactly `run`. The event
-    /// stream is deterministic and identical to the one
-    /// [`ParallelNetwork::run_traced`](crate::ParallelNetwork::run_traced)
-    /// produces for the same graph, seed, and protocol — byte-for-byte when
-    /// serialized. On a failed run the partial round and the open phase
-    /// span are flushed before the closing
-    /// [`RunEnd`](crate::TraceEvent::RunEnd), so the trace always accounts
-    /// for exactly what [`Network::metrics`] reports.
+    /// stream is deterministic and the same at every thread count —
+    /// byte-for-byte when serialized: protocols buffer their phase
+    /// declarations, and the round core applies them together with the
+    /// per-message accounting in global sender order, on the calling
+    /// thread. On a failed run the partial round and the open phase span
+    /// are flushed before the closing [`RunEnd`](crate::TraceEvent::RunEnd),
+    /// so the trace always accounts for exactly what [`Network::metrics`]
+    /// reports.
     ///
     /// # Errors
     ///
@@ -437,7 +479,8 @@ impl Network {
         sink: &mut dyn TraceSink,
     ) -> Result<Vec<P>, RunError>
     where
-        P: Protocol,
+        P: Protocol + Send,
+        P::Msg: Send,
         F: FnMut(NodeId, &mut SmallRng) -> P,
     {
         let mut tracer = Tracer::new(sink);
@@ -446,306 +489,141 @@ impl Network {
         // branches at all, so `run` costs exactly what it did before
         // tracing and fault injection existed.
         let result = match (tracer.enabled(), self.faults.is_some()) {
-            (false, false) => {
-                self.run_inner::<P, F, false, false>(factory, max_rounds, &mut tracer)
-            }
-            (true, false) => self.run_inner::<P, F, true, false>(factory, max_rounds, &mut tracer),
-            (false, true) => self.run_inner::<P, F, false, true>(factory, max_rounds, &mut tracer),
-            (true, true) => self.run_inner::<P, F, true, true>(factory, max_rounds, &mut tracer),
+            (false, false) => self.run_on::<P, F, false, false>(factory, max_rounds, &mut tracer),
+            (true, false) => self.run_on::<P, F, true, false>(factory, max_rounds, &mut tracer),
+            (false, true) => self.run_on::<P, F, false, true>(factory, max_rounds, &mut tracer),
+            (true, true) => self.run_on::<P, F, true, true>(factory, max_rounds, &mut tracer),
         };
         tracer.finish(&self.metrics, result.as_ref().err());
         result
     }
 
-    fn run_inner<P, F, const TRACED: bool, const FAULTS: bool>(
+    /// Builds the node states and the round core, then runs the loop the
+    /// thread count picks.
+    fn run_on<P, F, const TRACED: bool, const FAULTS: bool>(
         &mut self,
         mut factory: F,
         max_rounds: u32,
         tracer: &mut Tracer<'_>,
     ) -> Result<Vec<P>, RunError>
     where
-        P: Protocol,
+        P: Protocol + Send,
+        P::Msg: Send,
         F: FnMut(NodeId, &mut SmallRng) -> P,
     {
         let n = self.adjacency.node_count();
         self.metrics = RunMetrics::default();
-        // The fault engine (empty and untouched unless FAULTS). Faulted
-        // rounds bypass the counting scatter: deliveries go through
-        // `FaultState::flush_due` into a flat inbox arena, because
-        // delayed/held messages break the global-sender-order precondition
-        // the scatter needs. `flush_due` sinks receivers in ascending
-        // order, so the arena is one append-only `Vec` with per-receiver
-        // offsets — no per-node `Vec` growth on the fault path either.
-        let mut fstate: FaultState<P::Msg> = FaultState::new(
-            self.faults.clone().unwrap_or_default(),
-            if FAULTS { n } else { 0 },
-        );
-        let mut fault_flat: Vec<(NodeId, P::Msg)> = Vec::new();
-        let mut fault_counts: Vec<u32> = vec![0; if FAULTS { n } else { 0 }];
-
+        let mut core = RoundCore::new(n, self.budget, self.faults.as_ref());
         let mut rngs: Vec<SmallRng> = (0..n as u32).map(|v| node_rng(self.seed, v, 0)).collect();
-        let mut nodes: Vec<P> = (0..n as u32)
+        let nodes: Vec<P> = (0..n as u32)
             .map(|v| factory(NodeId(v), &mut rngs[v as usize]))
             .collect();
+        let run = Run {
+            adjacency: &self.adjacency,
+            core: &mut core,
+            metrics: &mut self.metrics,
+            tracer,
+            max_rounds,
+        };
+        if self.threads == 1 {
+            run.sequential::<P, TRACED, FAULTS>(nodes, rngs)
+        } else {
+            run.pooled::<P, TRACED, FAULTS>(nodes, rngs, self.threads)
+        }
+    }
+}
 
-        // Double-buffered inbox arenas. Sends are appended to `staging` as
-        // (receiver, sender, msg) in global send order — a purely sequential
-        // write. At each round boundary a counting scatter regroups them by
-        // receiver into `flat`, whose per-receiver slices are handed to the
-        // protocols; the slices come out sorted by sender for free because
-        // senders flush in ascending order and the scatter is stable. All
-        // buffers keep their capacity across rounds, so the steady-state
-        // loop performs no heap allocation.
-        let mut staging: Vec<(NodeId, NodeId, P::Msg)> = Vec::new();
-        let mut flat: Vec<(NodeId, P::Msg)> = Vec::new();
-        let mut offsets: Vec<u32> = vec![0; n + 1];
-        let mut cursor: Vec<u32> = vec![0; n];
-        let mut outbox: Vec<(NodeId, P::Msg)> = Vec::new();
+/// One run's shared inputs, handed to the round loop the thread count
+/// picks.
+pub(crate) struct Run<'a, 't, M> {
+    pub(crate) adjacency: &'a CsrAdjacency,
+    pub(crate) core: &'a mut RoundCore<M>,
+    pub(crate) metrics: &'a mut RunMetrics,
+    pub(crate) tracer: &'a mut Tracer<'t>,
+    pub(crate) max_rounds: u32,
+}
+
+impl<M: MessageSize + Clone> Run<'_, '_, M> {
+    /// The sequential round loop, the reference: each round the due nodes
+    /// step inline in ascending id order, and each node's sends are
+    /// accepted as soon as it returns.
+    ///
+    /// Only the *active set* steps: the nodes with mail, which the inbox
+    /// build marks in a bitset, and the nodes whose [`Protocol::next_wake`]
+    /// hint named this round (next-round wakes in the same bitset, later
+    /// ones in a calendar bucketed by round). Each node's `done` bit is
+    /// refreshed when it steps, and a running count of nodes not done
+    /// replaces a per-round scan of all n. Round 0 steps every node's
+    /// `init`; under a [`FaultPlan`] every node stays due every round.
+    fn sequential<P, const TRACED: bool, const FAULTS: bool>(
+        self,
+        mut nodes: Vec<P>,
+        mut rngs: Vec<SmallRng>,
+    ) -> Result<Vec<P>, RunError>
+    where
+        P: Protocol<Msg = M>,
+    {
+        let adjacency = self.adjacency;
+        let n = adjacency.node_count();
+        let mut outbox: Vec<(NodeId, M)> = Vec::new();
         let mut seen = vec![0u64; n];
         let mut stamp = 0u64;
         let mut phase_actions: Vec<PhaseAction> = Vec::new();
         // Who steps each round, and how many nodes are not done.
-        let mut active = ActiveSet::new(n, max_rounds);
+        let mut active = ActiveSet::new(n, self.max_rounds);
 
-        // Init phase (round 0).
-        if TRACED {
-            tracer.begin_round(0);
-        }
-        if FAULTS {
-            fstate.begin_round(0);
-        }
-        for v in 0..n {
-            let node = NodeId(v as u32);
-            if FAULTS && fstate.plan().crashed(node, 0) {
-                active.settle::<P, FAULTS>(v, node, 0, &nodes[v], fstate.plan());
-                continue;
-            }
-            outbox.clear();
-            stamp += 1;
-            {
-                let mut ctx = Ctx {
-                    node,
-                    n,
-                    round: 0,
-                    neighbors: self.adjacency.neighbors(node),
-                    rng: &mut rngs[v],
-                    outbox: &mut outbox,
-                    seen: &mut seen,
-                    stamp,
-                    phases: &mut phase_actions,
-                    tracing: TRACED,
-                };
-                nodes[v].init(&mut ctx);
-            }
-            if TRACED {
-                tracer.apply_actions(&mut phase_actions);
-            }
-            self.flush::<_, TRACED, FAULTS>(
-                node,
-                0,
-                &mut outbox,
-                &mut staging,
-                &mut fstate,
-                tracer,
-            )?;
-            active.settle::<P, FAULTS>(v, node, 0, &nodes[v], fstate.plan());
-        }
-        if TRACED {
-            tracer.end_round();
-        }
-        if FAULTS {
-            self.metrics.faults = fstate.counters();
-        }
-
-        let mut round: u32 = 0;
-        loop {
-            // `staging` (or the fault engine) holds everything sent in the
-            // round just executed.
-            let in_flight = if FAULTS {
-                fstate.in_flight() > 0
-            } else {
-                !staging.is_empty()
-            };
-            if !in_flight && active.quiet() {
-                break;
-            }
-            if round >= max_rounds {
-                return Err(RunError::RoundLimit { max_rounds });
-            }
-            round += 1;
-            self.metrics.rounds = round;
-            if TRACED {
-                tracer.begin_round(round);
-            }
-
-            if FAULTS {
-                fstate.begin_round(round);
-                fault_flat.clear();
-                fault_counts.fill(0);
-                fstate.flush_due(round, |to, sender, msg| {
-                    fault_counts[to.index()] += 1;
-                    fault_flat.push((sender, msg));
-                });
-                // `flush_due` emits receivers in ascending order, so the
-                // arena is already receiver-grouped: prefix-sum the counts
-                // into the shared offsets table.
-                offsets[0] = 0;
-                for v in 0..n {
-                    offsets[v + 1] = offsets[v] + fault_counts[v];
+        drive::<M, TRACED, FAULTS>(
+            self.core,
+            self.metrics,
+            self.tracer,
+            self.max_rounds,
+            |core, round, metrics, tracer| {
+                if round > 0 {
+                    core.deliver::<FAULTS>(round, |v, mail| active.mark_mail(v, mail));
+                    active.begin_round(round);
                 }
-            } else {
-                scatter(
-                    &mut staging,
-                    &mut flat,
-                    &mut offsets,
-                    &mut cursor,
-                    |v, mail| active.mark_mail(v, mail),
-                );
-            }
-            active.begin_round(round);
-
-            let mut due = active.cursor();
-            while let Some(v) = active.next_due(&mut due) {
-                let node = NodeId(v as u32);
-                if FAULTS && fstate.plan().skips(node, round) {
-                    active.settle::<P, FAULTS>(v, node, round, &nodes[v], fstate.plan());
-                    continue;
+                let mut due = active.cursor();
+                while let Some(v) = active.next_due(&mut due) {
+                    let node = NodeId(v as u32);
+                    if !(FAULTS && core.plan().skips(node, round)) {
+                        let inbox = core.inbox(v);
+                        debug_assert!(inbox.windows(2).all(|w| w[0].0 <= w[1].0));
+                        outbox.clear();
+                        stamp += 1;
+                        let mut ctx = Ctx {
+                            node,
+                            n,
+                            round,
+                            neighbors: adjacency.neighbors(node),
+                            rng: &mut rngs[v],
+                            outbox: &mut outbox,
+                            seen: &mut seen,
+                            stamp,
+                            phases: &mut phase_actions,
+                            tracing: TRACED,
+                        };
+                        if round == 0 {
+                            nodes[v].init(&mut ctx);
+                        } else {
+                            nodes[v].round(&mut ctx, inbox);
+                        }
+                        if TRACED {
+                            tracer.apply_actions(&mut phase_actions);
+                        }
+                        core.accept::<TRACED, FAULTS>(
+                            node,
+                            round,
+                            outbox.drain(..),
+                            metrics,
+                            tracer,
+                        )?;
+                    }
+                    active.settle::<P, FAULTS>(v, node, round, &nodes[v], core.plan());
                 }
-                let inbox: &[(NodeId, P::Msg)] = if FAULTS {
-                    &fault_flat[offsets[v] as usize..offsets[v + 1] as usize]
-                } else {
-                    &flat[offsets[v] as usize..offsets[v + 1] as usize]
-                };
-                debug_assert!(inbox.windows(2).all(|w| w[0].0 <= w[1].0));
-                outbox.clear();
-                stamp += 1;
-                {
-                    let mut ctx = Ctx {
-                        node,
-                        n,
-                        round,
-                        neighbors: self.adjacency.neighbors(node),
-                        rng: &mut rngs[v],
-                        outbox: &mut outbox,
-                        seen: &mut seen,
-                        stamp,
-                        phases: &mut phase_actions,
-                        tracing: TRACED,
-                    };
-                    nodes[v].round(&mut ctx, inbox);
-                }
-                if TRACED {
-                    tracer.apply_actions(&mut phase_actions);
-                }
-                self.flush::<_, TRACED, FAULTS>(
-                    node,
-                    round,
-                    &mut outbox,
-                    &mut staging,
-                    &mut fstate,
-                    tracer,
-                )?;
-                active.settle::<P, FAULTS>(v, node, round, &nodes[v], fstate.plan());
-            }
-            if TRACED {
-                tracer.end_round();
-            }
-            if FAULTS {
-                self.metrics.faults = fstate.counters();
-            }
-        }
-
+                Ok(active.quiet())
+            },
+        )?;
         Ok(nodes)
-    }
-
-    /// Validates one node's outbox and appends it to the staging buffer
-    /// (or, under fault injection, routes it through the fault engine).
-    fn flush<M: MessageSize + Clone, const TRACED: bool, const FAULTS: bool>(
-        &mut self,
-        sender: NodeId,
-        round: u32,
-        outbox: &mut Vec<(NodeId, M)>,
-        staging: &mut Vec<(NodeId, NodeId, M)>,
-        fstate: &mut FaultState<M>,
-        tracer: &mut Tracer<'_>,
-    ) -> Result<(), RunError> {
-        if TRACED {
-            tracer.on_outbox(outbox.len());
-        }
-        for (to, msg) in outbox.drain(..) {
-            let words = msg.words();
-            if !self.budget.allows(words) {
-                self.metrics.faults = fstate.counters();
-                return Err(RunError::Budget(BudgetViolation {
-                    sender,
-                    receiver: to,
-                    round,
-                    words,
-                    budget: self.budget,
-                }));
-            }
-            self.metrics.messages += 1;
-            self.metrics.words += words as u64;
-            self.metrics.max_message_words = self.metrics.max_message_words.max(words);
-            if TRACED {
-                tracer.on_message(words);
-            }
-            if FAULTS {
-                fstate.accept(round, sender, to, msg);
-            } else {
-                staging.push((to, sender, msg));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Regroups `staging` — (receiver, sender, msg) triples in send order — by
-/// receiver into `flat`, leaving `offsets[v]..offsets[v+1]` as receiver
-/// `v`'s slice. A stable counting scatter: O(messages + n), and each slice
-/// stays in ascending sender order. Drains `staging`; both buffers retain
-/// their capacity for the next round. The prefix-sum pass of the count
-/// calls `mark(v, has_mail)` for every receiver slot, which is how the
-/// active set learns who has mail without another pass.
-///
-/// Message counts fit `u32`: a round delivers at most one message per
-/// directed edge, and [`CsrAdjacency`] already bounds half-edges to `u32`.
-/// Shared with the asynchronous executor, which regroups each recovered
-/// round's arrivals the same way.
-pub(crate) fn scatter<M>(
-    staging: &mut Vec<(NodeId, NodeId, M)>,
-    flat: &mut Vec<(NodeId, M)>,
-    offsets: &mut [u32],
-    cursor: &mut [u32],
-    mut mark: impl FnMut(usize, bool),
-) {
-    let n = offsets.len() - 1;
-    offsets.fill(0);
-    for &(to, _, _) in staging.iter() {
-        offsets[to.index() + 1] += 1;
-    }
-    for v in 0..n {
-        mark(v, offsets[v + 1] != 0);
-        offsets[v + 1] += offsets[v];
-    }
-    cursor.copy_from_slice(&offsets[..n]);
-    let total = staging.len();
-    flat.clear();
-    flat.reserve(total);
-    // SAFETY: the counting pass above guarantees every receiver index is in
-    // bounds and that the bucket cursors tile 0..total exactly, so each of
-    // the `total` reserved slots is written exactly once before set_len.
-    // Nothing between the writes can panic (ptr::write and u32 increments
-    // on values the counting pass already produced), so no
-    // partially-initialized buffer is ever observed.
-    unsafe {
-        let base = flat.as_mut_ptr();
-        for (to, sender, msg) in staging.drain(..) {
-            let c = &mut cursor[to.index()];
-            std::ptr::write(base.add(*c as usize), (sender, msg));
-            *c += 1;
-        }
-        flat.set_len(total);
     }
 }
 

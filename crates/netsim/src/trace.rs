@@ -2,7 +2,7 @@
 //!
 //! [`RunMetrics`] answers *how much* a run cost in the
 //! paper's currency (rounds, messages, words); this module answers *where*.
-//! Both executors can feed a [`TraceSink`] with one [`TraceEvent::Round`]
+//! Every executor can feed a [`TraceSink`] with one [`TraceEvent::Round`]
 //! per executed round (messages routed, words charged, active senders, a
 //! message-size histogram in O(log n)-word units) plus the **phase spans**
 //! protocols declare through [`Ctx::enter_phase`](crate::Ctx::enter_phase) —
@@ -18,8 +18,8 @@
 //!   already-predicted branch per message.
 //! * **Deterministic streams.** Events are emitted in global sender order —
 //!   the same order in which messages are routed and budgets are charged —
-//!   so the sequential and parallel executors produce *byte-identical*
-//!   JSONL streams for the same run (asserted in
+//!   so [`Network`](crate::Network) produces *byte-identical* JSONL
+//!   streams for the same run at every thread count (asserted in
 //!   `tests/executor_parity.rs`).
 //! * **Errors retain the partial trace.** A budget violation or round-limit
 //!   error closes the open phase span and emits a final
@@ -484,8 +484,8 @@ pub trait TraceSink {
 
 /// The disabled sink: reports `enabled() == false` and drops everything.
 ///
-/// `Network::run` and `ParallelNetwork::run` use it internally, so untraced
-/// runs pay no tracing cost.
+/// `Network::run` uses it internally, so untraced runs pay no tracing
+/// cost.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSink;
 
@@ -546,8 +546,8 @@ impl TraceSink for RingBufferSink {
 
 /// Writes each event as one line of JSON to an [`io::Write`].
 ///
-/// The stream is deterministic: the same run produces the same bytes on
-/// both executors. I/O errors are latched (tracing must not abort a
+/// The stream is deterministic: the same run produces the same bytes at
+/// every thread count. I/O errors are latched (tracing must not abort a
 /// simulation); check [`JsonLinesSink::io_error`] after the run.
 #[derive(Debug)]
 pub struct JsonLinesSink<W: Write> {
@@ -899,7 +899,7 @@ pub(crate) enum PhaseAction {
 
 /// The executors' shared tracing state machine.
 ///
-/// Both executors drive it through the same call sequence — per round:
+/// Every executor drives it through the same call sequence — per round:
 /// `begin_round`, then per node in global sender order `apply_actions` +
 /// `on_outbox`/`on_message`, then `end_round`; and `finish` exactly once —
 /// which is what makes the two trace streams identical.
